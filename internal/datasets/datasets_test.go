@@ -182,7 +182,7 @@ func TestModeratePlanFileParses(t *testing.T) {
 func TestRIBQuarantineReasons(t *testing.T) {
 	setup(t)
 	rib := strings.Join([]string{
-		"TABLE_DUMP2|1549238400|B|198.32.160.1|6447|8.8.0.0/16|6447 100|IGP",  // good
+		"TABLE_DUMP2|1549238400|B|198.32.160.1|6447|8.8.0.0/16|6447 100|IGP",   // good
 		"TABLE_DUMP2|1549238400|B|195.66.225.1|12654|8.8.0.0/16|12654 100|IGP", // good (2nd peer)
 		"TABLE_DUMP2|1549238400|B|198.32.160.1|6447|not-a-prefix|6447 100|IGP", // bad prefix
 		"TABLE_DUMP2|1549238400|B|198.32.160.1|6447|9.9.0.0/16|6447 23456|IGP", // bogon origin
@@ -269,7 +269,7 @@ func TestIXPQuarantineReasons(t *testing.T) {
 		`{"name":"SIM-IX 2","prefixes":["80.81.193.0/24"],"members":[100,23456,999],"updated":"2019-01-04T00:00:00Z"}`, // bogon + dangling member
 		`{"name":"SIM-IX 3","prefixes":["nope/24"],"members":[100],"updated":"2019-01-04T00:00:00Z"}`,                  // bad prefix
 		`{"name":"SIM-IX 4","prefixes":["80.81.194.0/24"],"members":[100],"updated":"2015-01-01T00:00:00Z"}`,           // stale
-		`{"name":"SIM-IX 5","prefixes":["80.81.19`,                                                                    // truncated JSON
+		`{"name":"SIM-IX 5","prefixes":["80.81.19`, // truncated JSON
 	}, "\n") + "\n"
 	v := Load(corpus(map[string]string{DSAs2org: as2orgFixture, DSIXPs: ixps}), testWorld)
 	got := reasonsOf(v, DSIXPs)

@@ -227,8 +227,8 @@ func (l *loader) parseRIB(content []byte) {
 	l.resolveOrigins(DSRib, order, boxes, func(p netblock.Prefix, win originVote, suspect bool) {
 		l.b.AddRIB(p, win.origin, suspect)
 		l.view.RIB = append(l.view.RIB, RIBRecord{
-			Prov:    Provenance{Dataset: DSRib, Line: win.line},
-			Prefix:  p, Origin: win.origin, Updated: win.ts, Suspect: suspect,
+			Prov:   Provenance{Dataset: DSRib, Line: win.line},
+			Prefix: p, Origin: win.origin, Updated: win.ts, Suspect: suspect,
 		})
 	})
 }
@@ -332,8 +332,8 @@ func (l *loader) parseWhois(content []byte) {
 	l.resolveOrigins(DSWhois, order, boxes, func(p netblock.Prefix, win originVote, suspect bool) {
 		l.b.AddWhois(p, win.origin, suspect)
 		l.view.Whois = append(l.view.Whois, WhoisRecord{
-			Prov:    Provenance{Dataset: DSWhois, Line: win.line},
-			Prefix:  p, Origin: win.origin, Updated: win.ts, Suspect: suspect,
+			Prov:   Provenance{Dataset: DSWhois, Line: win.line},
+			Prefix: p, Origin: win.origin, Updated: win.ts, Suspect: suspect,
 		})
 	})
 }

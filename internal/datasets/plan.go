@@ -148,8 +148,18 @@ func (dt dirtier) draw(salt uint64, key string) float64 {
 	return unit(strHash(strHash(mix64(dt.seed^salt), dt.ds), key))
 }
 
-func (dt dirtier) drop(key string) bool     { return dt.d.DropFrac > 0 && dt.draw(saltDrop, key) < dt.d.DropFrac }
-func (dt dirtier) truncate(key string) bool { return dt.d.TruncateFrac > 0 && dt.draw(saltTruncate, key) < dt.d.TruncateFrac }
-func (dt dirtier) stale(key string) bool    { return dt.d.StaleFrac > 0 && dt.draw(saltStale, key) < dt.d.StaleFrac }
-func (dt dirtier) conflict(key string) bool { return dt.d.ConflictFrac > 0 && dt.draw(saltConflict, key) < dt.d.ConflictFrac }
-func (dt dirtier) bogon(key string) bool    { return dt.d.BogonFrac > 0 && dt.draw(saltBogon, key) < dt.d.BogonFrac }
+func (dt dirtier) drop(key string) bool {
+	return dt.d.DropFrac > 0 && dt.draw(saltDrop, key) < dt.d.DropFrac
+}
+func (dt dirtier) truncate(key string) bool {
+	return dt.d.TruncateFrac > 0 && dt.draw(saltTruncate, key) < dt.d.TruncateFrac
+}
+func (dt dirtier) stale(key string) bool {
+	return dt.d.StaleFrac > 0 && dt.draw(saltStale, key) < dt.d.StaleFrac
+}
+func (dt dirtier) conflict(key string) bool {
+	return dt.d.ConflictFrac > 0 && dt.draw(saltConflict, key) < dt.d.ConflictFrac
+}
+func (dt dirtier) bogon(key string) bool {
+	return dt.d.BogonFrac > 0 && dt.draw(saltBogon, key) < dt.d.BogonFrac
+}

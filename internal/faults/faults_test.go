@@ -186,8 +186,8 @@ func TestLinkFlapWindowSemantics(t *testing.T) {
 	for li := 0; li < len(top.Links) && li < 200; li++ {
 		l := model.LinkID(li)
 		for w := 0; w < 10; w++ {
-			head := float64(w)*60 + 1   // inside DownFrac (0.3*60=18s)
-			tail := float64(w)*60 + 30  // past the flap
+			head := float64(w)*60 + 1  // inside DownFrac (0.3*60=18s)
+			tail := float64(w)*60 + 30 // past the flap
 			headUp := in.LinkUp(l, head)
 			if !headUp {
 				sawFlap = true

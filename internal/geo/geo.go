@@ -48,6 +48,13 @@ type World struct {
 
 	byCode map[string]MetroID
 	byCity map[string]MetroID
+
+	// distKm and rttMs are row-major len(Metros)×len(Metros) tables of
+	// great-circle distances and propagation RTTs, computed once by
+	// NewWorld: every traceroute consults them several times, and the
+	// trigonometry behind them would otherwise dominate path synthesis.
+	distKm []float64
+	rttMs  []float64
 }
 
 // metroSeed is one row of the built-in world model.
@@ -231,6 +238,20 @@ func NewWorld() *World {
 		w.byCode[s.code] = id
 		w.byCity[normalizeCity(s.city)] = id
 	}
+	n := len(w.Metros)
+	w.distKm = make([]float64, n*n)
+	w.rttMs = make([]float64, n*n)
+	for a := range w.Metros {
+		for b := range w.Metros {
+			if a == b {
+				continue
+			}
+			ma, mb := &w.Metros[a], &w.Metros[b]
+			d := haversineKm(ma.Lat, ma.Lon, mb.Lat, mb.Lon)
+			w.distKm[a*n+b] = d
+			w.rttMs[a*n+b] = rttOverGreatCircle(d)
+		}
+	}
 	return w
 }
 
@@ -275,13 +296,19 @@ func (w *World) ByCity(city string) (MetroID, bool) {
 // earthRadiusKm is the mean Earth radius.
 const earthRadiusKm = 6371.0
 
+// pair returns the index of (a, b) in the metro-pair tables. Like Metro, it
+// panics on an invalid ID.
+func (w *World) pair(a, b MetroID) int {
+	n := len(w.Metros)
+	if uint(a) >= uint(n) || uint(b) >= uint(n) {
+		panic(fmt.Sprintf("geo: invalid metro pair (%d, %d)", a, b))
+	}
+	return int(a)*n + int(b)
+}
+
 // DistanceKm returns the great-circle distance between two metros.
 func (w *World) DistanceKm(a, b MetroID) float64 {
-	if a == b {
-		return 0
-	}
-	ma, mb := w.Metro(a), w.Metro(b)
-	return haversineKm(ma.Lat, ma.Lon, mb.Lat, mb.Lon)
+	return w.distKm[w.pair(a, b)]
 }
 
 func haversineKm(lat1, lon1, lat2, lon2 float64) float64 {
@@ -307,7 +334,13 @@ const (
 // PropagationRTTms returns the round-trip propagation delay in milliseconds
 // between two metros (no queueing; callers add per-hop processing delays).
 func (w *World) PropagationRTTms(a, b MetroID) float64 {
-	km := w.DistanceKm(a, b) * pathInflation
+	return w.rttMs[w.pair(a, b)]
+}
+
+// rttOverGreatCircle converts a great-circle distance to the propagation
+// RTT between its endpoints.
+func rttOverGreatCircle(km float64) float64 {
+	km *= pathInflation
 	return 2 * km / fiberKmPerMsOneWay
 }
 

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -176,10 +177,65 @@ func TestCloudRegions(t *testing.T) {
 
 func TestInvalidMetroPanics(t *testing.T) {
 	w := NewWorld()
-	defer func() {
-		if recover() == nil {
-			t.Error("Metro(-5) did not panic")
+	n := MetroID(len(w.Metros))
+	iad, _ := w.ByCode("iad")
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	for _, bad := range []MetroID{-5, None, n, n + 7} {
+		mustPanic(fmt.Sprintf("Metro(%d)", bad), func() { w.Metro(bad) })
+		mustPanic(fmt.Sprintf("DistanceKm(%d, %d)", bad, bad), func() { w.DistanceKm(bad, bad) })
+		mustPanic(fmt.Sprintf("DistanceKm(iad, %d)", bad), func() { w.DistanceKm(iad, bad) })
+		mustPanic(fmt.Sprintf("DistanceKm(%d, iad)", bad), func() { w.DistanceKm(bad, iad) })
+		mustPanic(fmt.Sprintf("PropagationRTTms(%d, %d)", bad, bad), func() { w.PropagationRTTms(bad, bad) })
+		mustPanic(fmt.Sprintf("PropagationRTTms(iad, %d)", bad), func() { w.PropagationRTTms(iad, bad) })
+	}
+}
+
+// TestDistanceTableMatchesHaversine: the precomputed tables hold exactly
+// what the great-circle formula gives for every ordered metro pair, bit for
+// bit, so switching from per-call trigonometry to lookups changed no RTT.
+func TestDistanceTableMatchesHaversine(t *testing.T) {
+	w := NewWorld()
+	for _, a := range w.Metros {
+		for _, b := range w.Metros {
+			want := 0.0
+			if a.ID != b.ID {
+				want = haversineKm(a.Lat, a.Lon, b.Lat, b.Lon)
+			}
+			if got := w.DistanceKm(a.ID, b.ID); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("DistanceKm(%s, %s) = %v, haversine gives %v", a.Code, b.Code, got, want)
+			}
+			km := want * pathInflation
+			wantRTT := 2 * km / fiberKmPerMsOneWay
+			if got := w.PropagationRTTms(a.ID, b.ID); math.Float64bits(got) != math.Float64bits(wantRTT) {
+				t.Fatalf("PropagationRTTms(%s, %s) = %v, want %v", a.Code, b.Code, got, wantRTT)
+			}
 		}
-	}()
-	w.Metro(-5)
+	}
+}
+
+// TestDistanceTableSymmetric: both tables are exactly symmetric with a zero
+// diagonal.
+func TestDistanceTableSymmetric(t *testing.T) {
+	w := NewWorld()
+	for _, a := range w.Metros {
+		if d, r := w.DistanceKm(a.ID, a.ID), w.PropagationRTTms(a.ID, a.ID); d != 0 || r != 0 {
+			t.Fatalf("%s to itself: %v km, %v ms", a.Code, d, r)
+		}
+		for _, b := range w.Metros {
+			if w.DistanceKm(a.ID, b.ID) != w.DistanceKm(b.ID, a.ID) {
+				t.Fatalf("DistanceKm(%s, %s) != DistanceKm(%s, %s)", a.Code, b.Code, b.Code, a.Code)
+			}
+			if w.PropagationRTTms(a.ID, b.ID) != w.PropagationRTTms(b.ID, a.ID) {
+				t.Fatalf("PropagationRTTms(%s, %s) not symmetric", a.Code, b.Code)
+			}
+		}
+	}
 }

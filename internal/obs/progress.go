@@ -36,7 +36,7 @@ type Progress struct {
 	recoveredFrom atomic.Uint64
 
 	gStageIdx, gStageTotal, gTracesDone, gTracesPlanned, gRetriesLeft, gQuarantined *metrics.Gauge
-	gEpoch, gDegraded, gRecoveredFrom                                              *metrics.Gauge
+	gEpoch, gDegraded, gRecoveredFrom                                               *metrics.Gauge
 }
 
 // NewProgress returns a Progress mirroring into reg (nil reg is allowed:

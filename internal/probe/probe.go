@@ -68,8 +68,11 @@ type Prober struct {
 	t *model.Topology
 	f *route.Forwarder
 
-	seed     uint64
-	loopback map[model.RouterID]netblock.IP
+	seed uint64
+	// replyAddr holds, per router, the loopback address its ICMP replies
+	// are always sourced from, or Zero when replies carry the incoming
+	// interface (see alwaysLoopback).
+	replyAddr []netblock.IP
 
 	// loopProb injects rare forwarding-loop artefacts; thirdPartyFrac is
 	// the fraction of routers that always reply with a default (loopback)
@@ -86,6 +89,9 @@ type Prober struct {
 	// inj, when non-nil, applies reply-level faults (rate limiting, bursty
 	// loss) and region outages; the forwarder handles link flaps.
 	inj *faults.Injector
+
+	// tracers recycles synthesis scratch across TracerouteAt calls.
+	tracers sync.Pool
 }
 
 // NewProber builds a prober over the topology.
@@ -94,14 +100,18 @@ func NewProber(t *model.Topology, f *route.Forwarder) *Prober {
 		t:              t,
 		f:              f,
 		seed:           t.Seed ^ 0xabcdef1234567890,
-		loopback:       make(map[model.RouterID]netblock.IP),
+		replyAddr:      make([]netblock.IP, len(t.Routers)),
 		loopProb:       0.002,
 		thirdPartyFrac: 0.04,
 	}
+	p.tracers.New = func() any { return new(tracer) }
 	for ri := range t.Routers {
+		if !p.alwaysLoopback(model.RouterID(ri)) {
+			continue
+		}
 		for _, ifc := range t.Routers[ri].Ifaces {
 			if t.Ifaces[ifc].Kind == model.IfLoopback {
-				p.loopback[model.RouterID(ri)] = t.Ifaces[ifc].Addr
+				p.replyAddr[ri] = t.Ifaces[ifc].Addr
 				break
 			}
 		}
@@ -167,7 +177,7 @@ func (p *Prober) hash(parts ...uint64) uint64 {
 func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // alwaysLoopback reports whether a router's ICMP replies are sourced from
-// its loopback (a stable per-router behaviour).
+// its loopback (a stable per-router behaviour, tabulated in replyAddr).
 func (p *Prober) alwaysLoopback(r model.RouterID) bool {
 	return unit(p.hash(uint64(r), 0x3333)) < p.thirdPartyFrac
 }
@@ -203,24 +213,54 @@ func (p *Prober) Traceroute(ref VMRef, dst netblock.IP) (Trace, error) {
 // rate limiters, link-flap truncation, or a whole-region outage (the probe
 // was never sent). Without an injector the trace is byte-identical to
 // Traceroute's and the stats carry only the probe count.
+//
+// The trace's Hops is the call's only allocation: synthesis runs in pooled
+// scratch and the result is copied out exactly sized, owned by the caller.
 func (p *Prober) TracerouteAt(ref VMRef, dst netblock.IP, tSec float64) (Trace, AttemptStats, error) {
 	vm, err := p.vm(ref)
 	if err != nil {
 		return Trace{}, AttemptStats{}, err
 	}
+	sc := p.tracers.Get().(*tracer)
+	var status Status
+	var st AttemptStats
+	sc.hops, status, st = p.appendTrace(sc.hops[:0], &sc.path, vm, dst, tSec)
+	tr := Trace{Src: ref, Dst: dst, Status: status, Hops: make([]Hop, len(sc.hops))}
+	copy(tr.Hops, sc.hops)
+	p.tracers.Put(sc)
+	return tr, st, nil
+}
+
+// tracer is one goroutine's traceroute-synthesis scratch: the forwarder
+// path and two hop buffers, the attempt being synthesized (hops) and the
+// best attempt kept for retry selection (best). Its contents are valid only
+// until its next use; traces handed out copy the hops they keep.
+type tracer struct {
+	path route.Path
+	hops []Hop
+	best []Hop
+}
+
+// appendTrace runs one traceroute attempt from vm to dst at virtual time
+// tSec, appends its hops to hops and returns the extended slice with the
+// attempt's termination status and fault stats. path is the forwarder
+// scratch. Once hops and path have grown to the longest trace, an attempt
+// allocates nothing.
+func (p *Prober) appendTrace(hops []Hop, path *route.Path, vm route.VM, dst netblock.IP, tSec float64) ([]Hop, Status, AttemptStats) {
 	var st AttemptStats
 	if !p.inj.RegionUp(vm.Cloud, vm.Region, tSec) {
 		// The vantage region is down: nothing is sent. The attempt still
 		// yields a well-formed (all-star) trace so exhausted retries leave a
 		// replayable record in the campaign stream.
 		st.Outage = true
-		return Trace{Src: ref, Dst: dst, Status: StatusGapLimit, Hops: make([]Hop, gapLimit)}, st, nil
+		for i := 0; i < gapLimit; i++ {
+			hops = append(hops, Hop{})
+		}
+		return hops, StatusGapLimit, st
 	}
-	path := p.f.TraceAt(vm, dst, tSec)
+	p.f.TraceInto(path, vm, dst, tSec)
 	st.Flapped = path.Truncated
-	tr := Trace{Src: ref, Dst: dst, Status: StatusGapLimit}
 	gap := 0
-	seen := make(map[netblock.IP]int, len(path.Hops))
 
 	for hi, hop := range path.Hops {
 		iface := &p.t.Ifaces[hop.Iface]
@@ -229,10 +269,10 @@ func (p *Prober) TracerouteAt(ref VMRef, dst netblock.IP, tSec float64) (Trace, 
 
 		st.Sent++
 		if !p.responds(router, dst, vm, hi) {
-			tr.Hops = append(tr.Hops, Hop{})
+			hops = append(hops, Hop{})
 			gap++
 			if gap >= gapLimit {
-				return tr, st, nil
+				return hops, StatusGapLimit, st
 			}
 			continue
 		}
@@ -243,10 +283,10 @@ func (p *Prober) TracerouteAt(ref VMRef, dst netblock.IP, tSec float64) (Trace, 
 			} else {
 				st.RateLimited++
 			}
-			tr.Hops = append(tr.Hops, Hop{})
+			hops = append(hops, Hop{})
 			gap++
 			if gap >= gapLimit {
-				return tr, st, nil
+				return hops, StatusGapLimit, st
 			}
 			continue
 		}
@@ -255,25 +295,22 @@ func (p *Prober) TracerouteAt(ref VMRef, dst netblock.IP, tSec float64) (Trace, 
 		// A few routers are configured to source ICMP from a default
 		// interface: every reply carries the loopback, not the incoming
 		// interface (the third-party-address artefact).
-		if lb, ok := p.loopback[router.ID]; ok && p.alwaysLoopback(router.ID) {
+		if lb := p.replyAddr[router.ID]; lb != netblock.Zero {
 			addr = lb
 		}
 		// Rare forwarding loop artefact: repeat an earlier hop.
-		if len(tr.Hops) > 2 && unit(mix64(h^0x2222)) < p.loopProb {
-			prev := tr.Hops[len(tr.Hops)-2]
+		if len(hops) > 2 && unit(mix64(h^0x2222)) < p.loopProb {
+			prev := hops[len(hops)-2]
 			if prev.Responsive() {
-				tr.Hops = append(tr.Hops, Hop{Addr: prev.Addr, RTTms: hop.RTT + p.jitter(h)})
-				tr.Status = StatusLoop
-				return tr, st, nil
+				hops = append(hops, Hop{Addr: prev.Addr, RTTms: hop.RTT + p.jitter(h)})
+				return hops, StatusLoop, st
 			}
 		}
-		if firstIdx, dup := seen[addr]; dup && firstIdx < len(tr.Hops)-1 {
-			tr.Status = StatusLoop
-			tr.Hops = append(tr.Hops, Hop{Addr: addr, RTTms: hop.RTT + p.jitter(h)})
-			return tr, st, nil
+		if repeatsEarlier(hops, addr) {
+			hops = append(hops, Hop{Addr: addr, RTTms: hop.RTT + p.jitter(h)})
+			return hops, StatusLoop, st
 		}
-		seen[addr] = len(tr.Hops)
-		tr.Hops = append(tr.Hops, Hop{Addr: addr, RTTms: hop.RTT + p.jitter(h)})
+		hops = append(hops, Hop{Addr: addr, RTTms: hop.RTT + p.jitter(h)})
 	}
 
 	// Destination.
@@ -299,16 +336,28 @@ func (p *Prober) TracerouteAt(ref VMRef, dst netblock.IP, tSec float64) (Trace, 
 		}
 		if responderOK {
 			h := p.hash(uint64(dst), uint64(vm.Cloud), 0xeeee)
-			tr.Hops = append(tr.Hops, Hop{Addr: dst, RTTms: path.DstRTT + p.jitter(h)})
-			tr.Status = StatusCompleted
-			return tr, st, nil
+			hops = append(hops, Hop{Addr: dst, RTTms: path.DstRTT + p.jitter(h)})
+			return hops, StatusCompleted, st
 		}
 	}
 	// Pad the trailing gap as scamper would before giving up.
 	for i := 0; i < gapLimit-gap; i++ {
-		tr.Hops = append(tr.Hops, Hop{})
+		hops = append(hops, Hop{})
 	}
-	return tr, st, nil
+	return hops, StatusGapLimit, st
+}
+
+// repeatsEarlier reports whether a reply from addr closes an IP-level
+// loop: addr's latest reply sits before the previous hop (a repeat of the
+// immediately preceding hop is a benign double reply). Paths are a dozen
+// hops long, so a backward scan beats any per-trace index.
+func repeatsEarlier(hops []Hop, addr netblock.IP) bool {
+	for i := len(hops) - 1; i >= 0; i-- {
+		if hops[i].Addr == addr {
+			return i < len(hops)-1
+		}
+	}
+	return false
 }
 
 // hopSalt distinguishes fault draws for probes sharing a (router,

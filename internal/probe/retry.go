@@ -9,6 +9,7 @@ import (
 
 	"cloudmap/internal/netblock"
 	"cloudmap/internal/obs"
+	"cloudmap/internal/route"
 )
 
 // AttemptStats reports what the fault layer did to one traceroute attempt.
@@ -120,28 +121,19 @@ func (s *CampaignStats) observe(st AttemptStats) {
 	}
 }
 
-// score ranks traces for retry selection: a completed trace beats any
-// incomplete one, then more responsive hops win.
-func score(t Trace) int {
+// score ranks traceroute attempts for retry selection: a completed trace
+// beats any incomplete one, then more responsive hops win.
+func score(hops []Hop, status Status) int {
 	s := 0
-	for _, h := range t.Hops {
+	for _, h := range hops {
 		if h.Responsive() {
 			s++
 		}
 	}
-	if t.Status == StatusCompleted {
+	if status == StatusCompleted {
 		s += 1 << 20
 	}
 	return s
-}
-
-// better keeps the higher-scoring of two attempts, preferring the earlier
-// one on ties so the choice is stable.
-func better(a, b Trace) Trace {
-	if score(b) > score(a) {
-		return b
-	}
-	return a
 }
 
 // classifyFault names the dominant fault on an attempt — the journal's
@@ -181,15 +173,17 @@ func emitFault(sp *obs.Span, dst netblock.IP, attempt int, tSec float64, st Atte
 	sp.Detail("fault", classifyFault(st), uint64(dst)<<8|uint64(attempt), attrs)
 }
 
-// traceRetry probes one target with retries. budget counts the retries this
-// chunk may still spend (nil = unlimited). sp, when non-nil, receives one
-// "fault" event per faulted attempt and one "retry" event per re-probe.
-func (p *Prober) traceRetry(sp *obs.Span, prog *obs.Progress, ref VMRef, vmKey uint64, dst netblock.IP, pol RetryPolicy, epoch uint64, budget *int64, cs *CampaignStats) (Trace, error) {
+// traceRetry probes one target with retries, synthesizing every attempt in
+// sc. It leaves the kept attempt's hops in sc.best and returns its status:
+// the highest-scoring attempt, the earliest on ties so the choice is
+// stable. budget counts the retries this chunk may still spend (nil =
+// unlimited). sp, when non-nil, receives one "fault" event per faulted
+// attempt and one "retry" event per re-probe.
+func (p *Prober) traceRetry(sp *obs.Span, prog *obs.Progress, sc *tracer, vm route.VM, vmKey uint64, dst netblock.IP, pol RetryPolicy, epoch uint64, budget *int64, cs *CampaignStats) Status {
 	tSec := p.inj.ScheduleSec(epoch, vmKey, dst)
-	best, st, err := p.TracerouteAt(ref, dst, tSec)
-	if err != nil {
-		return Trace{}, err
-	}
+	var status Status
+	var st AttemptStats
+	sc.best, status, st = p.appendTrace(sc.best[:0], &sc.path, vm, dst, tSec)
 	cs.Targets++
 	cs.observe(st)
 	if st.Faulted() {
@@ -215,17 +209,17 @@ func (p *Prober) traceRetry(sp *obs.Span, prog *obs.Progress, ref VMRef, vmKey u
 			})
 		}
 		prog.RetrySpent()
-		tr, st2, err := p.TracerouteAt(ref, dst, tSec)
-		if err != nil {
-			return Trace{}, err
-		}
+		var retryStatus Status
+		sc.hops, retryStatus, st = p.appendTrace(sc.hops[:0], &sc.path, vm, dst, tSec)
 		cs.Retries++
-		cs.observe(st2)
-		if st2.Faulted() {
-			emitFault(sp, dst, attempts+1, tSec, st2)
+		cs.observe(st)
+		if st.Faulted() {
+			emitFault(sp, dst, attempts+1, tSec, st)
 		}
-		best = better(best, tr)
-		st = st2
+		if score(sc.hops, retryStatus) > score(sc.best, status) {
+			sc.best, sc.hops = sc.hops, sc.best
+			status = retryStatus
+		}
 		attempts++
 	}
 	if len(cs.Attempts) < pol.MaxAttempts {
@@ -234,7 +228,7 @@ func (p *Prober) traceRetry(sp *obs.Span, prog *obs.Progress, ref VMRef, vmKey u
 		cs.Attempts = grown
 	}
 	cs.Attempts[attempts-1]++
-	return best, nil
+	return status
 }
 
 // CampaignRetryCtx runs a campaign under the prober's fault injector with
@@ -337,7 +331,8 @@ func ChunkRetryBudget(budget int64, n, idx int) int64 {
 // chunk's position in the campaign; they do not index into targets). lane
 // places the chunk span on a Chrome-trace lane; sp and prog may be nil.
 // The returned traces and stats are deterministic — identical wherever and
-// whenever the chunk runs.
+// whenever the chunk runs. The traces' hops share a few per-chunk arena
+// blocks, so a chunk costs a handful of allocations, not one per trace.
 func (p *Prober) RunChunkObs(ctx context.Context, sp *obs.Span, prog *obs.Progress, wc WorkChunk, targets []netblock.IP, pol RetryPolicy, epoch uint64, budget int64, lane int) ([]Trace, CampaignStats, error) {
 	pol = pol.withDefaults()
 	vm, err := p.vm(wc.VM)
@@ -353,22 +348,40 @@ func (p *Prober) RunChunkObs(ctx context.Context, sp *obs.Span, prog *obs.Progre
 	// position, no scheduling dependence; the lane only places the span
 	// in the Chrome trace so worker occupancy is visible.
 	csp := sp.ChildLane("chunk", wc.Span(), uint64(wc.Index), lane)
+	sc := p.tracers.Get().(*tracer)
+	defer p.tracers.Put(sc)
 	var cs CampaignStats
+	var arena hopArena
 	out := make([]Trace, 0, len(targets))
 	for _, dst := range targets {
 		if err := ctx.Err(); err != nil {
 			csp.End(obs.Attrs{"status": "interrupted"})
 			return nil, cs, fmt.Errorf("probe: campaign interrupted: %w", err)
 		}
-		tr, err := p.traceRetry(csp, prog, wc.VM, vmKey, dst, pol, epoch, budgetPtr, &cs)
-		if err != nil {
-			csp.End(obs.Attrs{"status": "error"})
-			return nil, cs, err
-		}
-		out = append(out, tr)
+		status := p.traceRetry(csp, prog, sc, vm, vmKey, dst, pol, epoch, budgetPtr, &cs)
+		out = append(out, Trace{Src: wc.VM, Dst: dst, Status: status, Hops: arena.keep(sc.best)})
 	}
 	csp.End(chunkAttrs(cs))
 	return out, cs, nil
+}
+
+// arenaBlock is the hop capacity of one hopArena block: a few dozen traces.
+const arenaBlock = 4096
+
+// hopArena hands out trace hop slices carved from shared blocks, the way
+// the tracefile decoder fills a chunk's traces from one hop arena. Each
+// slice is capacity-capped, so appending to one trace's hops reallocates
+// instead of overwriting its neighbour's.
+type hopArena struct{ block []Hop }
+
+// keep copies hops into the arena and returns the arena-owned copy.
+func (a *hopArena) keep(hops []Hop) []Hop {
+	if cap(a.block)-len(a.block) < len(hops) {
+		a.block = make([]Hop, 0, max(arenaBlock, len(hops)))
+	}
+	start := len(a.block)
+	a.block = append(a.block, hops...)
+	return a.block[start:len(a.block):len(a.block)]
 }
 
 // CampaignRetryObsCtx is CampaignRetryCtx with observability: each work

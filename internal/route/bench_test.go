@@ -24,6 +24,7 @@ func BenchmarkTrace(b *testing.B) {
 			dsts = append(dsts, as.ServicePrefixes[0].Addr+1)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Trace(vm, dsts[i%len(dsts)])

@@ -40,8 +40,12 @@ type Forwarder struct {
 	// exchange-port interface belongs to one link per cloud it reaches.
 	linkOf map[model.IfaceID][]model.LinkID
 
+	// asIndexes holds every AS index in order, so a one-AS path is a
+	// subslice of it rather than a fresh allocation (see singleAS).
+	asIndexes []model.ASIndex
+
 	// egressCache memoises egress decisions per (cloud, region, dstAS).
-	egressMu    sync.Mutex
+	egressMu    sync.RWMutex
 	egressCache map[egressKey]egressChoice
 
 	// inj, when non-nil, injects link flaps into path computation (TraceAt).
@@ -73,6 +77,10 @@ func NewForwarder(t *model.Topology) *Forwarder {
 		linkOf:         make(map[model.IfaceID][]model.LinkID),
 		egressCache:    make(map[egressKey]egressChoice),
 		coreIncoming:   make([]model.IfaceID, len(t.Routers)),
+		asIndexes:      make([]model.ASIndex, len(t.ASes)),
+	}
+	for i := range f.asIndexes {
+		f.asIndexes[i] = model.ASIndex(i)
 	}
 
 	// Global BGP view: announced prefixes only.
@@ -148,6 +156,20 @@ func (f *Forwarder) LinkOf(ifc model.IfaceID) (model.LinkID, bool) {
 		return model.NoLink, false
 	}
 	return ls[0], true
+}
+
+// ifaceAt returns the interface holding addr, or NoIface.
+func (f *Forwarder) ifaceAt(addr netblock.IP) model.IfaceID {
+	if ifc, ok := f.t.IfaceAt(addr); ok {
+		return ifc
+	}
+	return model.NoIface
+}
+
+// singleAS returns the one-element AS path [as] without allocating. The
+// slice is shared and capacity-capped: callers must not write through it.
+func (f *Forwarder) singleAS(as model.ASIndex) []model.ASIndex {
+	return f.asIndexes[as : as+1 : as+1]
 }
 
 // linkForCloud returns the interface's link terminating at the given cloud.

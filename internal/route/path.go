@@ -59,15 +59,29 @@ func (f *Forwarder) Trace(vm VM, dst netblock.IP) Path {
 // flapped at tSec drops the probe at the cloud border: the path truncates
 // after the border hop and the destination never answers. Fault windows are
 // long relative to RTTs, so the whole path is evaluated at the send time.
+//
+// The returned path owns freshly allocated hops; hot loops use TraceInto.
 func (f *Forwarder) TraceAt(vm VM, dst netblock.IP, tSec float64) Path {
+	p := Path{Hops: make([]HopTemplate, 0, typicalPathHops)}
+	f.TraceInto(&p, vm, dst, tSec)
+	return p
+}
+
+// typicalPathHops sizes TraceAt's hop slice so that most paths fit in one
+// allocation: gateways, backbone, border and a short client descent.
+const typicalPathHops = 16
+
+// TraceInto is TraceAt writing into a caller-owned path: p is overwritten
+// and its Hops backing array reused, so a goroutine that keeps one Path as
+// scratch computes paths without allocating. The hops stay valid only until
+// the next TraceInto on the same Path.
+func (f *Forwarder) TraceInto(p *Path, vm VM, dst netblock.IP, tSec float64) {
 	t := f.t
 	c := &t.Clouds[vm.Cloud]
 	reg := &c.Regions[vm.Region]
 	srcMetro := reg.Metro
 
-	var p Path
-	p.DstIface = model.NoIface
-	p.DstAS = model.NoAS
+	*p = Path{Hops: p.Hops[:0], DstIface: model.NoIface, DstAS: model.NoAS}
 
 	// First hops: the in-region gateways (private addresses).
 	rtt := 0.0
@@ -78,19 +92,22 @@ func (f *Forwarder) TraceAt(vm VM, dst netblock.IP, tSec float64) Path {
 
 	// Unrouted space dies at the gateways.
 	if dst.IsPrivate() || dst.IsShared() {
-		return p
+		return
 	}
+	// Every branch below asks whether the destination is a router
+	// interface (expansion targets often are): look it up once.
+	dstIfc := f.ifaceAt(dst)
 	dstOwner := t.AddrOwner(dst)
 	if dstOwner == model.NoAS {
 		// IXP LAN addresses have no RIR delegation but are still routable
 		// across the exchange when they sit on a link of this cloud.
-		if ifc, ok := t.IfaceAt(dst); ok {
-			if _, onLink := f.linkForCloud(ifc, c.ID); onLink {
-				dstOwner = t.IfaceAS(ifc)
+		if dstIfc != model.NoIface {
+			if _, onLink := f.linkForCloud(dstIfc, c.ID); onLink {
+				dstOwner = t.IfaceAS(dstIfc)
 			}
 		}
 		if dstOwner == model.NoAS {
-			return p
+			return
 		}
 	}
 
@@ -99,19 +116,20 @@ func (f *Forwarder) TraceAt(vm VM, dst netblock.IP, tSec float64) Path {
 	p.Hops = append(p.Hops, HopTemplate{Iface: f.coreIncoming[reg.Backbone], RTT: rtt})
 
 	if t.IsCloudAS(c, dstOwner) {
-		return f.internalDelivery(p, rtt, c, srcMetro, dst, tSec)
+		f.internalDelivery(p, rtt, c, srcMetro, dst, dstIfc, tSec)
+		return
 	}
 
 	// Choose the egress interconnection: first the AS path (cached per
 	// destination AS), then the peering instance (per-/24 multipath across
 	// parallel interconnections), then the link (per-IP ECMP).
-	choice := f.egress(vm, c, dstOwner, dst)
+	choice := f.egress(vm, c, dstOwner, dst, dstIfc)
 	if !choice.ok {
-		return p
+		return
 	}
 	pid, ok := f.chooseInstance(f.peeringsByPeer[c.ID][choice.asPath[0]], vm, choice.asPath[0], dst, choice.regionOnly)
 	if !ok {
-		return p
+		return
 	}
 	peering := &t.Peerings[pid]
 	link := f.pickLink(peering, dst)
@@ -173,7 +191,7 @@ func (f *Forwarder) TraceAt(vm VM, dst netblock.IP, tSec float64) Path {
 	// path ends with the hops already collected.
 	if !f.inj.LinkUp(link, tSec) {
 		p.Truncated = true
-		return p
+		return
 	}
 
 	// Cross the interconnection: the client border router replies with its
@@ -186,11 +204,11 @@ func (f *Forwarder) TraceAt(vm VM, dst netblock.IP, tSec float64) Path {
 		p.DstAS = t.Routers[l.PeerRouter].AS
 		p.DstResponds = true
 		p.DstRTT = rtt + rttFinal
-		return p
+		return
 	}
 	p.Hops = append(p.Hops, HopTemplate{Iface: l.PeerIface, RTT: rtt})
 
-	return f.clientDescend(p, rtt, l.PeerRouter, choice.asPath, dst)
+	f.clientDescend(p, rtt, l.PeerRouter, choice.asPath, dst, dstIfc)
 }
 
 // borderIncoming picks the backbone-facing interface of a border router that
@@ -223,18 +241,18 @@ func (f *Forwarder) pickLink(p *model.Peering, dst netblock.IP) model.LinkID {
 	return p.Links[h%uint64(len(p.Links))]
 }
 
-// internalDelivery handles targets inside the probing cloud itself.
-func (f *Forwarder) internalDelivery(p Path, rtt float64, c *model.Cloud, srcMetro geo.MetroID, dst netblock.IP, tSec float64) Path {
+// internalDelivery handles targets inside the probing cloud itself. ifc is
+// the interface holding dst, or NoIface.
+func (f *Forwarder) internalDelivery(p *Path, rtt float64, c *model.Cloud, srcMetro geo.MetroID, dst netblock.IP, ifc model.IfaceID, tSec float64) {
 	t := f.t
-	ifc, isIface := t.IfaceAt(dst)
-	if !isIface {
+	if ifc == model.NoIface {
 		// A host (or nothing) in the cloud's service space.
 		p.DstAS = c.PrimaryAS()
 		if f.hostExists(dst) {
 			p.DstResponds = true
 			p.DstRTT = rtt + rttFinal
 		}
-		return p
+		return
 	}
 	router := t.IfaceRouter(ifc)
 	rtt += t.World.PropagationRTTms(srcMetro, router.Metro) + rttHop
@@ -244,33 +262,33 @@ func (f *Forwarder) internalDelivery(p Path, rtt float64, c *model.Cloud, srcMet
 		p.DstAS = router.AS
 		p.DstResponds = true
 		p.DstRTT = rtt + rttFinal
-		return p
+		return
 	}
 	// A cloud-owned address living on a client router: the far side of a
 	// cloud-allocated interconnection subnet. The probe crosses the link.
 	link, ok := f.linkForCloud(ifc, c.ID)
 	if !ok {
-		return p
+		return
 	}
 	l := &t.Links[link]
 	abi := f.borderIncoming(l.CloudRouter, 0)
 	p.Hops = append(p.Hops, HopTemplate{Iface: abi, RTT: rtt})
 	if !f.inj.LinkUp(link, tSec) {
 		p.Truncated = true
-		return p
+		return
 	}
 	rtt += l.RTTms
 	p.DstIface = ifc
 	p.DstAS = router.AS
 	p.DstResponds = true
 	p.DstRTT = rtt + rttFinal
-	return p
 }
 
 // clientDescend realises the path beyond the cloud border: down the
 // provider-to-customer chain to the destination AS, then to the destination
-// metro and host (or interface).
-func (f *Forwarder) clientDescend(p Path, rtt float64, cur model.RouterID, asPath []model.ASIndex, dst netblock.IP) Path {
+// metro and host (or interface). dstIfc is the interface holding dst, or
+// NoIface.
+func (f *Forwarder) clientDescend(p *Path, rtt float64, cur model.RouterID, asPath []model.ASIndex, dst netblock.IP, dstIfc model.IfaceID) {
 	t := f.t
 	curMetro := t.Routers[cur].Metro
 
@@ -278,7 +296,7 @@ func (f *Forwarder) clientDescend(p Path, rtt float64, cur model.RouterID, asPat
 		a, next := asPath[i], asPath[i+1]
 		rel, ok := t.RelLinkBetween(a, next)
 		if !ok {
-			return p // structurally impossible; fail open with a truncated path
+			return // structurally impossible; fail open with a truncated path
 		}
 		// The interface on the entered AS's side.
 		inIface, inRouter := rel.BIface, rel.BRouter
@@ -306,15 +324,15 @@ func (f *Forwarder) clientDescend(p Path, rtt float64, cur model.RouterID, asPat
 	p.DstAS = dstAS
 
 	// Interface target inside the destination AS (expansion probing).
-	if ifc, isIface := t.IfaceAt(dst); isIface && t.IfaceRouter(ifc).AS == dstAS {
-		router := t.IfaceRouter(ifc)
+	if dstIfc != model.NoIface && t.IfaceRouter(dstIfc).AS == dstAS {
+		router := t.IfaceRouter(dstIfc)
 		if router.ID != cur {
 			rtt += t.World.PropagationRTTms(curMetro, router.Metro) + rttHop
 		}
-		p.DstIface = ifc
+		p.DstIface = dstIfc
 		p.DstResponds = true
 		p.DstRTT = rtt + rttFinal
-		return p
+		return
 	}
 
 	// Host target: cross the destination metro's core router, then the
@@ -329,7 +347,6 @@ func (f *Forwarder) clientDescend(p Path, rtt float64, cur model.RouterID, asPat
 		p.DstResponds = true
 		p.DstRTT = rtt + rttFinal
 	}
-	return p
 }
 
 func (f *Forwarder) inService(as *model.AS, dst netblock.IP) bool {
@@ -342,27 +359,28 @@ func (f *Forwarder) inService(as *model.AS, dst netblock.IP) bool {
 }
 
 // egress selects the interconnection a probe leaves the cloud through.
-func (f *Forwarder) egress(vm VM, c *model.Cloud, dstOwner model.ASIndex, dst netblock.IP) egressChoice {
+// dstIfc is the interface holding dst, or NoIface.
+func (f *Forwarder) egress(vm VM, c *model.Cloud, dstOwner model.ASIndex, dst netblock.IP, dstIfc model.IfaceID) egressChoice {
 	t := f.t
 
 	// If the destination is an interface on one of this cloud's own
 	// interconnection links, route through that peer directly: the /31 is
 	// connected routing, not BGP.
-	if ifc, ok := t.IfaceAt(dst); ok {
-		if link, ok := f.linkForCloud(ifc, c.ID); ok {
+	if dstIfc != model.NoIface {
+		if link, ok := f.linkForCloud(dstIfc, c.ID); ok {
 			peering := &t.Peerings[t.Links[link].Peering]
-			return egressChoice{ok: true, asPath: []model.ASIndex{peering.Peer}}
+			return egressChoice{ok: true, asPath: f.singleAS(peering.Peer)}
 		}
 	}
 
 	key := egressKey{cloud: c.ID, region: int16(vm.Region), dst: dstOwner}
-	f.egressMu.Lock()
-	if choice, ok := f.egressCache[key]; ok {
-		f.egressMu.Unlock()
+	f.egressMu.RLock()
+	choice, ok := f.egressCache[key]
+	f.egressMu.RUnlock()
+	if ok {
 		return choice
 	}
-	f.egressMu.Unlock()
-	choice := f.computeEgress(vm, c, dstOwner, dst)
+	choice = f.computeEgress(vm, c, dstOwner, dst)
 	f.egressMu.Lock()
 	f.egressCache[key] = choice
 	f.egressMu.Unlock()
@@ -381,7 +399,7 @@ func (f *Forwarder) computeEgress(vm VM, c *model.Cloud, dstOwner model.ASIndex,
 		// property of the client.
 		regionOnly := !announced && mix64(uint64(dstOwner)^0x9e37)&1 == 0
 		if _, ok := f.chooseInstance(direct, vm, dstOwner, dst, regionOnly); ok {
-			return egressChoice{ok: true, asPath: []model.ASIndex{dstOwner}, regionOnly: regionOnly}
+			return egressChoice{ok: true, asPath: f.singleAS(dstOwner), regionOnly: regionOnly}
 		}
 		if !announced {
 			return egressChoice{}
@@ -445,14 +463,24 @@ func (f *Forwarder) chooseInstance(cands []model.PeeringID, vm VM, dstOwner mode
 		return model.NoPeering, false
 	}
 	h := mix64(uint64(netblock.Slash24(dst).Addr) ^ uint64(vm.Region)<<40 ^ uint64(dstOwner)<<8)
-	var regional []model.PeeringID
+	// Hot potato: the (h mod n)-th of the n instances homed in the region.
+	regional := 0
 	for _, pid := range cands {
 		if t.Peerings[pid].RegionIdx == vm.Region {
-			regional = append(regional, pid)
+			regional++
 		}
 	}
-	if len(regional) > 0 {
-		return regional[h%uint64(len(regional))], true
+	if regional > 0 {
+		k := h % uint64(regional)
+		for _, pid := range cands {
+			if t.Peerings[pid].RegionIdx != vm.Region {
+				continue
+			}
+			if k == 0 {
+				return pid, true
+			}
+			k--
+		}
 	}
 	if regionOnly {
 		return model.NoPeering, false
@@ -464,7 +492,8 @@ func (f *Forwarder) chooseInstance(cands []model.PeeringID, vm VM, dstOwner mode
 		pid model.PeeringID
 		d   float64
 	}
-	nearest := make([]cand, 0, 4)
+	var buf [4]cand
+	nearest := buf[:0]
 	for _, pid := range cands {
 		m := t.Facilities[t.Peerings[pid].Facility].Metro
 		c := cand{pid: pid, d: t.World.DistanceKm(home, m)}

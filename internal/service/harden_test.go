@@ -146,10 +146,10 @@ type stallWriter struct {
 	buf bytes.Buffer
 }
 
-func (w *stallWriter) Header() http.Header  { return http.Header{} }
-func (w *stallWriter) WriteHeader(int)      {}
-func (w *stallWriter) Flush()               {}
-func (w *stallWriter) String() string       { w.mu.Lock(); defer w.mu.Unlock(); return w.buf.String() }
+func (w *stallWriter) Header() http.Header { return http.Header{} }
+func (w *stallWriter) WriteHeader(int)     {}
+func (w *stallWriter) Flush()              {}
+func (w *stallWriter) String() string      { w.mu.Lock(); defer w.mu.Unlock(); return w.buf.String() }
 func (w *stallWriter) Write(p []byte) (int, error) {
 	w.once.Do(func() {
 		close(w.blocked)

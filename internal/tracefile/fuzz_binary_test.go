@@ -43,13 +43,13 @@ func FuzzReadBinary(f *testing.F) {
 	// (type, payloadLen, count, crc), early payload (cloud table and
 	// dictionary), the index entries, and the trailer offset.
 	for _, pos := range []int{
-		len(binMagic),          // frame type
-		len(binMagic) + 1,      // payloadLen LSB
-		len(binMagic) + 5,      // record count
-		len(binMagic) + 9,      // crc
-		len(binMagic) + binFrameHeaderLen,     // cloud count varint
-		len(binMagic) + binFrameHeaderLen + 2, // inside cloud name
-		len(binMagic) + binFrameHeaderLen + 9, // dictionary region
+		len(binMagic),                                 // frame type
+		len(binMagic) + 1,                             // payloadLen LSB
+		len(binMagic) + 5,                             // record count
+		len(binMagic) + 9,                             // crc
+		len(binMagic) + binFrameHeaderLen,             // cloud count varint
+		len(binMagic) + binFrameHeaderLen + 2,         // inside cloud name
+		len(binMagic) + binFrameHeaderLen + 9,         // dictionary region
 		len(whole) - binTrailerLen - binIndexEntryLen, // an index entry
 		len(whole) - binTrailerLen + 1,                // trailer index offset
 	} {

@@ -1,17 +1,32 @@
 #!/bin/sh
-# check.sh — the full local gate: vet, build, race-enabled tests, and a
-# short fuzz smoke over the parsers that consume untrusted input.
+# check.sh — the full local gate: formatting, vet, build, race-enabled
+# tests (the benchmark module included), and a short fuzz smoke over the
+# parsers that consume untrusted input.
 # Usage: scripts/check.sh [fuzz-seconds]   (default 10)
 set -eu
 
 cd "$(dirname "$0")/.."
 FUZZ_SECONDS="${1:-10}"
 
+echo "==> gofmt -l ."
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+	echo "gofmt wants to reformat:" >&2
+	echo "$UNFORMATTED" >&2
+	exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+# benchmark/ is a module of its own (it imports this one through a replace
+# directive), so the root ./... patterns never compile it: vet, build and
+# test it explicitly so an API change it depends on fails here.
+echo "==> benchmark module: go vet, go build, go test"
+(cd benchmark && go vet ./... && go build -o /dev/null ./... && go test ./...)
 
 echo "==> go test -race -short ./..."
 # -short keeps the race pass inside the default per-package timeout: the
