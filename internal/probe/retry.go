@@ -422,6 +422,13 @@ func (p *Prober) CampaignRetryObsCtx(ctx context.Context, sp *obs.Span, prog *ob
 	for i := range results {
 		results[i] = make(chan result, 1)
 	}
+	// window holds one token per chunk claimed but not yet delivered. A
+	// worker that gets 2*workers chunks ahead of the sink waits for it, so
+	// a sink slower than the probing keeps memory bounded instead of
+	// letting finished chunks pile up. Chunks are claimed in index order,
+	// so the chunk the sink waits for always holds a token or can take one.
+	window := make(chan struct{}, 2*workers)
+	stop := make(chan struct{}) // closed when delivery ends
 	var (
 		next     atomic.Int64
 		errMu    sync.Mutex
@@ -441,6 +448,13 @@ func (p *Prober) CampaignRetryObsCtx(ctx context.Context, sp *obs.Span, prog *ob
 			defer wg.Done()
 			for {
 				if ctx.Err() != nil {
+					return
+				}
+				select {
+				case window <- struct{}{}:
+				case <-ctx.Done():
+					return
+				case <-stop:
 					return
 				}
 				idx := int(next.Add(1)) - 1
@@ -473,10 +487,12 @@ deliver:
 		for _, tr := range r.traces {
 			sink(tr)
 		}
+		<-window
 		if ctx.Err() != nil {
 			break
 		}
 	}
+	close(stop)
 	wg.Wait()
 	errMu.Lock()
 	defer errMu.Unlock()

@@ -263,3 +263,22 @@ func TestTracerouteAtZeroMatchesTraceroute(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignRetryChunkErrorReturns: a failing chunk (here, from an
+// unknown cloud) ends the campaign with its error. The chunks after it are
+// healthy, so the other workers run ahead until the delivery window is
+// full; the campaign must release them rather than wait forever.
+func TestCampaignRetryChunkErrorReturns(t *testing.T) {
+	tp, p := newProber(t)
+	targets := Round1Targets(tp, Round1Options{})[:campaignChunk] // one chunk per VM
+	amazon := p.VMs("amazon")
+	vms := append([]VMRef{amazon[0], {Cloud: "nimbus", Region: 0}}, amazon[1:]...)
+	var delivered int
+	_, err := p.CampaignRetryCtx(context.Background(), vms, targets, 3, RetryPolicy{}, 0, func(Trace) { delivered++ })
+	if err == nil {
+		t.Fatal("campaign over an unknown cloud succeeded")
+	}
+	if want := len(targets); delivered != want {
+		t.Fatalf("delivered %d traces before the failing chunk, want %d", delivered, want)
+	}
+}
