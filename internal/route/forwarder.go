@@ -45,7 +45,7 @@ type Forwarder struct {
 	asIndexes []model.ASIndex
 
 	// egressCache memoises egress decisions per (cloud, region, dstAS).
-	egressMu    sync.RWMutex
+	egressMu    sync.Mutex
 	egressCache map[egressKey]egressChoice
 
 	// inj, when non-nil, injects link flaps into path computation (TraceAt).

@@ -374,13 +374,13 @@ func (f *Forwarder) egress(vm VM, c *model.Cloud, dstOwner model.ASIndex, dst ne
 	}
 
 	key := egressKey{cloud: c.ID, region: int16(vm.Region), dst: dstOwner}
-	f.egressMu.RLock()
-	choice, ok := f.egressCache[key]
-	f.egressMu.RUnlock()
-	if ok {
+	f.egressMu.Lock()
+	if choice, ok := f.egressCache[key]; ok {
+		f.egressMu.Unlock()
 		return choice
 	}
-	choice = f.computeEgress(vm, c, dstOwner, dst)
+	f.egressMu.Unlock()
+	choice := f.computeEgress(vm, c, dstOwner, dst)
 	f.egressMu.Lock()
 	f.egressCache[key] = choice
 	f.egressMu.Unlock()
