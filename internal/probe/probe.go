@@ -224,7 +224,7 @@ func (p *Prober) TracerouteAt(ref VMRef, dst netblock.IP, tSec float64) (Trace, 
 	sc := p.tracers.Get().(*tracer)
 	var status Status
 	var st AttemptStats
-	sc.hops, status, st = p.appendTrace(sc.hops[:0], &sc.path, vm, dst, tSec)
+	sc.hops, status, st = p.synthesize(sc.hops, &sc.path, vm, dst, tSec)
 	tr := Trace{Src: ref, Dst: dst, Status: status, Hops: make([]Hop, len(sc.hops))}
 	copy(tr.Hops, sc.hops)
 	p.tracers.Put(sc)
@@ -241,13 +241,14 @@ type tracer struct {
 	best []Hop
 }
 
-// appendTrace runs one traceroute attempt from vm to dst at virtual time
-// tSec, appends its hops to hops and returns the extended slice with the
-// attempt's termination status and fault stats. path is the forwarder
-// scratch. Once hops and path have grown to the longest trace, an attempt
+// synthesize runs one traceroute attempt from vm to dst at virtual time
+// tSec. It returns the attempt's hops, written over buf's backing array,
+// with its termination status and fault stats. path is the forwarder
+// scratch. Once buf and path have grown to the longest trace, an attempt
 // allocates nothing.
-func (p *Prober) appendTrace(hops []Hop, path *route.Path, vm route.VM, dst netblock.IP, tSec float64) ([]Hop, Status, AttemptStats) {
+func (p *Prober) synthesize(buf []Hop, path *route.Path, vm route.VM, dst netblock.IP, tSec float64) ([]Hop, Status, AttemptStats) {
 	var st AttemptStats
+	hops := buf[:0]
 	if !p.inj.RegionUp(vm.Cloud, vm.Region, tSec) {
 		// The vantage region is down: nothing is sent. The attempt still
 		// yields a well-formed (all-star) trace so exhausted retries leave a

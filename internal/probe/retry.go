@@ -183,7 +183,7 @@ func (p *Prober) traceRetry(sp *obs.Span, prog *obs.Progress, sc *tracer, vm rou
 	tSec := p.inj.ScheduleSec(epoch, vmKey, dst)
 	var status Status
 	var st AttemptStats
-	sc.best, status, st = p.appendTrace(sc.best[:0], &sc.path, vm, dst, tSec)
+	sc.best, status, st = p.synthesize(sc.best, &sc.path, vm, dst, tSec)
 	cs.Targets++
 	cs.observe(st)
 	if st.Faulted() {
@@ -210,7 +210,7 @@ func (p *Prober) traceRetry(sp *obs.Span, prog *obs.Progress, sc *tracer, vm rou
 		}
 		prog.RetrySpent()
 		var retryStatus Status
-		sc.hops, retryStatus, st = p.appendTrace(sc.hops[:0], &sc.path, vm, dst, tSec)
+		sc.hops, retryStatus, st = p.synthesize(sc.hops, &sc.path, vm, dst, tSec)
 		cs.Retries++
 		cs.observe(st)
 		if st.Faulted() {

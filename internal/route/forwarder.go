@@ -158,14 +158,6 @@ func (f *Forwarder) LinkOf(ifc model.IfaceID) (model.LinkID, bool) {
 	return ls[0], true
 }
 
-// ifaceAt returns the interface holding addr, or NoIface.
-func (f *Forwarder) ifaceAt(addr netblock.IP) model.IfaceID {
-	if ifc, ok := f.t.IfaceAt(addr); ok {
-		return ifc
-	}
-	return model.NoIface
-}
-
 // singleAS returns the one-element AS path [as] without allocating. The
 // slice is shared and capacity-capped: callers must not write through it.
 func (f *Forwarder) singleAS(as model.ASIndex) []model.ASIndex {

@@ -96,7 +96,10 @@ func (f *Forwarder) TraceInto(p *Path, vm VM, dst netblock.IP, tSec float64) {
 	}
 	// Every branch below asks whether the destination is a router
 	// interface (expansion targets often are): look it up once.
-	dstIfc := f.ifaceAt(dst)
+	dstIfc, isIfc := t.IfaceAt(dst)
+	if !isIfc {
+		dstIfc = model.NoIface
+	}
 	dstOwner := t.AddrOwner(dst)
 	if dstOwner == model.NoAS {
 		// IXP LAN addresses have no RIR delegation but are still routable
