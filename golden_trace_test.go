@@ -46,7 +46,6 @@ func TestGoldenTraceStream(t *testing.T) {
 		t.Skip("pipeline runs skipped in -short mode")
 	}
 	for _, g := range goldenTraceDigests {
-		g := g
 		t.Run(g.name, func(t *testing.T) {
 			cfg := SmallConfig()
 			cfg.Topology.Seed = 1

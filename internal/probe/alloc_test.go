@@ -13,21 +13,17 @@ import (
 	"cloudmap/internal/netblock"
 )
 
-// round1Sample returns every step-th round-1 target.
-func round1Sample(targets []netblock.IP, step int) []netblock.IP {
-	var out []netblock.IP
-	for i := 0; i < len(targets); i += step {
-		out = append(out, targets[i])
-	}
-	return out
-}
-
 // TestTracerouteAtAllocs: on the fault-free path a traceroute allocates
 // only its returned hop slice — path and hop synthesis run in pooled
 // scratch, with no per-trace map, path or loopback lookup allocation.
 func TestTracerouteAtAllocs(t *testing.T) {
 	tp, p := newProber(t)
-	sample := round1Sample(Round1Targets(tp, Round1Options{}), 7)
+	var sample []netblock.IP // every 7th round-1 target
+	for i, dst := range Round1Targets(tp, Round1Options{}) {
+		if i%7 == 0 {
+			sample = append(sample, dst)
+		}
+	}
 	vms := p.VMs("amazon")
 	// A collection empties the scratch pool, and refilling it costs a few
 	// allocations per cycle; hold the collector off so the count is the
