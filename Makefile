@@ -8,7 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Full gate: vet + build + race tests + fuzz smoke (see scripts/check.sh).
+# Full gate: gofmt + vet + build + benchmark-module tests + race tests +
+# fuzz smoke (see scripts/check.sh).
 check:
 	sh scripts/check.sh
 

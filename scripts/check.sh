@@ -1,6 +1,6 @@
 #!/bin/sh
-# check.sh — the full local gate: formatting, vet, build, race-enabled
-# tests (the benchmark module included), and a short fuzz smoke over the
+# check.sh — the full local gate: formatting, vet, build, the benchmark
+# module's own tests, race-enabled tests, and a short fuzz smoke over the
 # parsers that consume untrusted input.
 # Usage: scripts/check.sh [fuzz-seconds]   (default 10)
 set -eu
