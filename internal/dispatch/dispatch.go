@@ -10,8 +10,8 @@
 // controller is free to lease a chunk to whichever agent is alive, lease it
 // twice when one agent straggles, or fall back to running it locally — the
 // merged result cannot change. Chunks merge in campaign-chunk order through
-// the same ordered-delivery discipline probe.CampaignRetryObsCtx uses, so
-// reports stay byte-identical at any agent count, worker count, or failure
+// ordered.Run, the scheduler probe.CampaignRetryObsCtx uses too, so reports
+// stay byte-identical at any agent count, worker count, or failure
 // schedule.
 //
 // Fault tolerance, concretely:

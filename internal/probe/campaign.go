@@ -1,11 +1,7 @@
 package probe
 
 import (
-	"context"
-	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"cloudmap/internal/model"
 	"cloudmap/internal/netblock"
@@ -80,22 +76,12 @@ func ExpansionTargets(cbis []netblock.IP) []netblock.IP {
 // of hops).
 type TraceSink func(Trace)
 
-// Campaign probes every target from every VM and streams results to sink.
+// Campaign probes every target from every VM, serially and with the fault
+// clock at zero, and streams results to sink. The probing rounds use
+// CampaignRetryObsCtx, which adds workers, retries and cancellation.
 func (p *Prober) Campaign(vms []VMRef, targets []netblock.IP, sink TraceSink) error {
-	return p.CampaignCtx(context.Background(), vms, targets, sink)
-}
-
-// CampaignCtx is Campaign with cancellation: the context is checked before
-// every probe, so an abort lands within one traceroute's worth of work. The
-// returned error wraps ctx.Err() (errors.Is(err, context.Canceled) holds),
-// and everything already delivered to sink remains valid — an interrupted
-// campaign is a loadable partial checkpoint.
-func (p *Prober) CampaignCtx(ctx context.Context, vms []VMRef, targets []netblock.IP, sink TraceSink) error {
 	for _, vm := range vms {
 		for _, dst := range targets {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("probe: campaign interrupted: %w", err)
-			}
 			tr, err := p.Traceroute(vm, dst)
 			if err != nil {
 				return err
@@ -104,119 +90,4 @@ func (p *Prober) CampaignCtx(ctx context.Context, vms []VMRef, targets []netbloc
 		}
 	}
 	return nil
-}
-
-// campaignChunk is the unit of parallel work: one VM and a target range.
-const campaignChunk = 1024
-
-// CampaignParallel runs the same campaign across the given number of worker
-// goroutines while delivering traces to sink in exactly the order Campaign
-// would — the probing itself is embarrassingly parallel, but consumers
-// (and reproducibility guarantees) want a deterministic stream. Workers
-// compute bounded chunks; a coordinator emits them in sequence.
-func (p *Prober) CampaignParallel(vms []VMRef, targets []netblock.IP, workers int, sink TraceSink) error {
-	return p.CampaignParallelCtx(context.Background(), vms, targets, workers, sink)
-}
-
-// CampaignParallelCtx is CampaignParallel with cancellation. Workers check
-// the context between traceroutes and the coordinator between chunks, so an
-// abort returns promptly without waiting for the campaign to finish; the
-// returned error wraps ctx.Err(). Traces already handed to sink stay a
-// valid (deterministic-prefix) partial campaign.
-func (p *Prober) CampaignParallelCtx(ctx context.Context, vms []VMRef, targets []netblock.IP, workers int, sink TraceSink) error {
-	if workers <= 1 {
-		return p.CampaignCtx(ctx, vms, targets, sink)
-	}
-
-	type chunk struct {
-		vm       VMRef
-		from, to int // target index range
-	}
-	var chunks []chunk
-	for _, vm := range vms {
-		for from := 0; from < len(targets); from += campaignChunk {
-			to := from + campaignChunk
-			if to > len(targets) {
-				to = len(targets)
-			}
-			chunks = append(chunks, chunk{vm: vm, from: from, to: to})
-		}
-	}
-
-	results := make([]chan []Trace, len(chunks))
-	for i := range results {
-		results[i] = make(chan []Trace, 1)
-	}
-	var (
-		next     atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				idx := int(next.Add(1)) - 1
-				if idx >= len(chunks) {
-					return
-				}
-				c := chunks[idx]
-				out := make([]Trace, 0, c.to-c.from)
-				for _, dst := range targets[c.from:c.to] {
-					if err := ctx.Err(); err != nil {
-						results[idx] <- nil
-						return
-					}
-					tr, err := p.Traceroute(c.vm, dst)
-					if err != nil {
-						setErr(err)
-						results[idx] <- nil
-						return
-					}
-					out = append(out, tr)
-				}
-				results[idx] <- out
-			}
-		}()
-	}
-
-deliver:
-	for i := range chunks {
-		var batch []Trace
-		select {
-		case batch = <-results[i]:
-		case <-ctx.Done():
-			break deliver
-		}
-		if batch == nil {
-			break
-		}
-		for _, tr := range batch {
-			sink(tr)
-		}
-		// A sink may cancel the campaign (e.g. an interrupt handler): stop
-		// delivering completed chunks as soon as the context dies.
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	wg.Wait()
-	errMu.Lock()
-	defer errMu.Unlock()
-	if firstErr == nil && ctx.Err() != nil {
-		firstErr = fmt.Errorf("probe: campaign interrupted: %w", ctx.Err())
-	}
-	return firstErr
 }

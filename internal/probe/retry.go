@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"cloudmap/internal/netblock"
 	"cloudmap/internal/obs"
+	"cloudmap/internal/ordered"
 	"cloudmap/internal/route"
 )
 
@@ -232,15 +231,18 @@ func (p *Prober) traceRetry(sp *obs.Span, prog *obs.Progress, sc *tracer, vm rou
 }
 
 // CampaignRetryCtx runs a campaign under the prober's fault injector with
-// per-probe retries. It delivers traces in exactly the order CampaignCtx
-// would and returns aggregate fault/retry stats; both the stream and the
-// stats are identical for any worker count. epoch separates the virtual
-// schedules of distinct probing rounds (round 1 vs. expansion), so a target
-// probed in both rounds lands at independent virtual times.
+// per-probe retries, running its work chunks on up to workers goroutines
+// through ordered.Run. Traces reach sink in campaign order (VMs in order,
+// each VM's targets in order) and the returned fault/retry stats are
+// aggregated in chunk order, so both are identical for any worker count.
+// A failing chunk ends the campaign with the lowest failing chunk's error;
+// cancellation ends it with an error wrapping ctx.Err(). epoch separates
+// the virtual schedules of distinct probing rounds (round 1 vs. expansion),
+// so a target probed in both rounds lands at independent virtual times.
 //
 // With a nil injector and a single-attempt policy this degenerates to the
-// plain parallel campaign: every probe runs at virtual time zero and the
-// stats carry only probe counts.
+// serial Campaign: every probe runs at virtual time zero and the stats
+// carry only probe counts.
 func (p *Prober) CampaignRetryCtx(ctx context.Context, vms []VMRef, targets []netblock.IP, workers int, pol RetryPolicy, epoch uint64, sink TraceSink) (CampaignStats, error) {
 	return p.CampaignRetryObsCtx(ctx, nil, nil, vms, targets, workers, pol, epoch, sink)
 }
@@ -291,6 +293,9 @@ type WorkChunk struct {
 
 // Span names the chunk's deterministic label ("amazon/3:2048-3072").
 func (c WorkChunk) Span() string { return fmt.Sprintf("%s:%d-%d", c.VM, c.From, c.To) }
+
+// campaignChunk is the number of targets in one work chunk.
+const campaignChunk = 1024
 
 // ChunkCampaign splits a campaign (every VM × the target list) into its
 // deterministic work chunks: VMs in order, target ranges of campaignChunk
@@ -393,111 +398,22 @@ func (a *hopArena) keep(hops []Hop) []Hop {
 func (p *Prober) CampaignRetryObsCtx(ctx context.Context, sp *obs.Span, prog *obs.Progress, vms []VMRef, targets []netblock.IP, workers int, pol RetryPolicy, epoch uint64, sink TraceSink) (CampaignStats, error) {
 	pol = pol.withDefaults()
 	chunks := ChunkCampaign(vms, targets)
-
-	runChunk := func(c WorkChunk, lane int) ([]Trace, CampaignStats, error) {
-		share := ChunkRetryBudget(pol.Budget, len(chunks), c.Index)
-		return p.RunChunkObs(ctx, sp, prog, c, targets[c.From:c.To], pol, epoch, share, lane)
-	}
-
-	var total CampaignStats
-	if workers <= 1 {
-		for _, c := range chunks {
-			batch, cs, err := runChunk(c, 1)
-			if err != nil {
-				return total, err
-			}
-			total.Merge(cs)
-			for _, tr := range batch {
-				sink(tr)
-			}
-		}
-		return total, nil
-	}
-
 	type result struct {
 		traces []Trace
 		stats  CampaignStats
 	}
-	results := make([]chan result, len(chunks))
-	for i := range results {
-		results[i] = make(chan result, 1)
-	}
-	// window holds one token per chunk claimed but not yet delivered. A
-	// worker that gets 2*workers chunks ahead of the sink waits for it, so
-	// a sink slower than the probing keeps memory bounded instead of
-	// letting finished chunks pile up. Chunks are claimed in index order,
-	// so the chunk the sink waits for always holds a token or can take one.
-	window := make(chan struct{}, 2*workers)
-	stop := make(chan struct{}) // closed when delivery ends
-	var (
-		next     atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				select {
-				case window <- struct{}{}:
-				case <-ctx.Done():
-					return
-				case <-stop:
-					return
-				}
-				idx := int(next.Add(1)) - 1
-				if idx >= len(chunks) {
-					return
-				}
-				batch, cs, err := runChunk(chunks[idx], lane)
-				if err != nil {
-					setErr(err)
-					results[idx] <- result{}
-					return
-				}
-				results[idx] <- result{traces: batch, stats: cs}
-			}
-		}(w + 1)
-	}
-
-deliver:
-	for i := range chunks {
-		var r result
-		select {
-		case r = <-results[i]:
-		case <-ctx.Done():
-			break deliver
-		}
-		if r.traces == nil {
-			break
-		}
+	var total CampaignStats
+	err := ordered.Run(ctx, len(chunks), workers, func(i, lane int) (result, error) {
+		c := chunks[i]
+		share := ChunkRetryBudget(pol.Budget, len(chunks), i)
+		traces, cs, err := p.RunChunkObs(ctx, sp, prog, c, targets[c.From:c.To], pol, epoch, share, lane)
+		return result{traces, cs}, err
+	}, func(_ int, r result) error {
 		total.Merge(r.stats)
 		for _, tr := range r.traces {
 			sink(tr)
 		}
-		<-window
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
-	errMu.Lock()
-	defer errMu.Unlock()
-	if firstErr == nil && ctx.Err() != nil {
-		firstErr = fmt.Errorf("probe: campaign interrupted: %w", ctx.Err())
-	}
-	return total, firstErr
+		return nil
+	})
+	return total, err
 }

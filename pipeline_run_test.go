@@ -331,52 +331,6 @@ func TestTornBinaryCheckpointReprobes(t *testing.T) {
 	}
 }
 
-// TestLegacyTextCheckpointResumes: a checkpoint directory written by a
-// pre-v2 run (gzip text under the old *.traces.gz names) still resumes.
-func TestLegacyTextCheckpointResumes(t *testing.T) {
-	cfg := SmallConfig()
-	cfg.Topology.Seed = 21
-	dir := t.TempDir()
-	res0, _, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Downgrade both checkpoints to the legacy encoding and name.
-	for _, stage := range []string{"campaign", "expansion"} {
-		binPath := filepath.Join(dir, stage+".traces.bin")
-		gzPath := filepath.Join(dir, stage+".traces.gz")
-		w, err := tracefile.Create(gzPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tracefile.ReplayFile(binPath, w.Sink()); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(binPath); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cfg2 := SmallConfig()
-	cfg2.Topology.Seed = 21
-	res, rep, err := RunPipeline(context.Background(), nil, cfg2, RunOptions{CheckpointDir: dir, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range rep.Manifest.Stages {
-		if st.Name == "campaign" || st.Name == "expansion" {
-			if st.Status != pipeline.StatusResumed {
-				t.Fatalf("stage %s over a legacy checkpoint: status %q, want resumed", st.Name, st.Status)
-			}
-		}
-	}
-	if res.Report() != res0.Report() {
-		t.Fatal("legacy-checkpoint resume diverged from the original run")
-	}
-}
-
 // TestResumeWorkerInvariance is the parallel-decode acceptance criterion:
 // resuming the same checkpoint at workers=1 and workers=8 produces
 // byte-identical reports (chunks decode concurrently but deliver in order).

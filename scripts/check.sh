@@ -35,6 +35,17 @@ echo "==> go test -race -short ./..."
 # hot path, cancellation) all runs in short mode.
 go test -race -short -timeout 20m ./...
 
+echo "==> chunk scheduler race leg (-race -count=10)"
+# The scheduler and the campaign, fleet and replay paths built on it:
+# order, error choice and cancellation are timing-dependent, so run them
+# repeatedly under the race detector. Each dispatch campaign test probes a
+# full round-1 campaign twice (~40 s a run under -race on 2 vCPUs), so
+# those two run three times rather than ten.
+go test -race -count=10 ./internal/ordered
+go test -race -count=10 -run 'TestCampaignRetryChunkErrorReturns' ./internal/probe
+go test -race -count=10 -run 'TestReplayParallelCancel' ./internal/tracefile
+go test -race -count=3 -run 'TestDistributedMatchesLocal|TestNoLiveAgentsFallsBackLocal' -timeout 20m ./internal/dispatch
+
 echo "==> chaos smoke (fault injection + same-seed replay)"
 go test -run 'TestChaos' -timeout 10m .
 
