@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 # Full gate: gofmt + vet + build + benchmark-module tests + race tests +
-# fuzz smoke (see scripts/check.sh).
+# bench smoke + fuzz smoke (see scripts/check.sh).
 check:
 	sh scripts/check.sh
 

@@ -12,6 +12,8 @@
 package border
 
 import (
+	"math/bits"
+
 	"cloudmap/internal/netblock"
 	"cloudmap/internal/probe"
 	"cloudmap/internal/registry"
@@ -199,8 +201,17 @@ const (
 // hops, millions of lookups) the working set stays several times smaller
 // than a Go map's and the flag test needs no second indirection.
 // netblock.Zero never appears as a key: only responsive hops are looked up.
+//
+// The home slot is the top log2(len(slots)) bits of the Fibonacci product
+// ip*0x9e3779b9. A multiply carries bits upward only, so the product's low
+// k bits are a function of the address's low k bits alone: masking them
+// sends every address with the same host part (the .1 of each subnet, say)
+// to one home slot and grows long collision runs. The high bits depend on
+// the whole address, which keeps probe sequences near the ~2.5 slots that
+// linear probing averages at the 75% load cap.
 type annTable struct {
 	slots []annSlot // len is a power of two
+	shift uint8     // 32 - log2(len(slots)): home slot = product >> shift
 	anns  []registry.Annotation
 	n     int
 }
@@ -211,9 +222,14 @@ type annSlot struct {
 	annIdx uint32 // into annTable.anns
 }
 
+// home is ip's first probe slot; find walks forward from it.
+func (t *annTable) home(ip netblock.IP) uint32 {
+	return (uint32(ip) * 0x9e3779b9) >> t.shift
+}
+
 func (t *annTable) find(ip netblock.IP) *annSlot {
 	mask := uint32(len(t.slots) - 1)
-	for i := (uint32(ip) * 0x9e3779b9) & mask; ; i = (i + 1) & mask {
+	for i := t.home(ip); ; i = (i + 1) & mask {
 		s := &t.slots[i]
 		if s.ip == ip || s.ip == netblock.Zero {
 			return s
@@ -242,6 +258,7 @@ func (t *annTable) grow() {
 		size = len(old) * 2
 	}
 	t.slots = make([]annSlot, size)
+	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
 	for _, s := range old {
 		if s.ip != netblock.Zero {
 			*t.find(s.ip) = s
@@ -285,9 +302,12 @@ func (inf *Inference) Consume(tr probe.Trace) {
 	}
 
 	// Find the customer border hop: the first responsive hop whose ORG is
-	// neither unknown-private (AS0) nor the cloud's.
+	// neither unknown-private (AS0) nor the cloud's. abiIdx keeps the
+	// annotation of the last responsive hop before it: whenever a segment
+	// is formed below, that hop is the ABI, so it needs no second lookup.
 	cbiIdx := -1
 	var cbiAnn registry.Annotation
+	var abiIdx uint32
 	for i, h := range tr.Hops {
 		if !h.Responsive() {
 			continue
@@ -298,6 +318,7 @@ func (inf *Inference) Consume(tr probe.Trace) {
 			cbiAnn = inf.annCache.anns[e.annIdx]
 			break
 		}
+		abiIdx = e.annIdx
 	}
 	if cbiIdx < 0 {
 		inf.Stats.NoBorder++
@@ -349,7 +370,7 @@ func (inf *Inference) Consume(tr probe.Trace) {
 	}
 
 	abi := tr.Hops[cbiIdx-1].Addr
-	abiAnn := inf.annotate(abi)
+	abiAnn := inf.annCache.anns[abiIdx]
 	var prev netblock.IP
 	if cbiIdx >= 2 {
 		prev = tr.Hops[cbiIdx-2].Addr

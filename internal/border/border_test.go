@@ -262,3 +262,31 @@ func TestReachableSlash24Tracked(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkConsume is the per-trace cost of the border-inference sink: a
+// round-1 campaign on the small topology is recorded once, then replayed
+// into a fresh Inference per iteration (so the annotation memo starts
+// cold, as it does on a pipeline run or checkpoint replay).
+func BenchmarkConsume(b *testing.B) {
+	tp, err := topo.Generate(topo.SmallConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := registry.Build(tp, tp.Seed)
+	pr := probe.NewProber(tp, route.NewForwarder(tp))
+	var traces []probe.Trace
+	targets := probe.Round1Targets(tp, probe.Round1Options{})
+	if err := pr.Campaign(pr.VMs("amazon"), targets, func(tr probe.Trace) { traces = append(traces, tr) }); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inf := New(reg, "amazon")
+		for _, tr := range traces {
+			inf.Consume(tr)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(traces)), "ns/trace")
+	b.ReportMetric(float64(len(traces)), "traces/op")
+}

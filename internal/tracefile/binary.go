@@ -359,11 +359,17 @@ func decodeChunk(payload []byte, records uint32, sc *binScratch, out []probe.Tra
 	}
 	arena := make([]probe.Hop, 0, hopTotal)
 
+	// The per-record and per-hop varints almost always fit in one byte
+	// (b < 0x80). The loop reads that case inline and leaves longer or
+	// malformed varints to uvar and zigzag, which are too large for the
+	// compiler to inline; every bound and error stays theirs.
 	prevDst := int64(0)
 	for r := uint32(0); r < records; r++ {
 		var tr probe.Trace
 		var ci uint64
-		if ci, off, err = uvar(payload, off); err != nil {
+		if off < len(payload) && payload[off] < 0x80 {
+			ci, off = uint64(payload[off]), off+1
+		} else if ci, off, err = uvar(payload, off); err != nil {
 			return nil, err
 		}
 		if ci >= uint64(len(sc.clouds)) {
@@ -371,7 +377,9 @@ func decodeChunk(payload []byte, records uint32, sc *binScratch, out []probe.Tra
 		}
 		tr.Src.Cloud = sc.clouds[ci]
 		var region uint64
-		if region, off, err = uvar(payload, off); err != nil {
+		if off < len(payload) && payload[off] < 0x80 {
+			region, off = uint64(payload[off]), off+1
+		} else if region, off, err = uvar(payload, off); err != nil {
 			return nil, err
 		}
 		if region > binMaxRegion {
@@ -379,7 +387,10 @@ func decodeChunk(payload []byte, records uint32, sc *binScratch, out []probe.Tra
 		}
 		tr.Src.Region = int(region)
 		var dd int64
-		if dd, off, err = zigzag(payload, off); err != nil {
+		if off < len(payload) && payload[off] < 0x80 {
+			b := payload[off]
+			dd, off = int64(b>>1)^-int64(b&1), off+1
+		} else if dd, off, err = zigzag(payload, off); err != nil {
 			return nil, err
 		}
 		dst := prevDst + dd
@@ -398,7 +409,9 @@ func decodeChunk(payload []byte, records uint32, sc *binScratch, out []probe.Tra
 		}
 		tr.Status = probe.Status(st)
 		var nHops uint64
-		if nHops, off, err = uvar(payload, off); err != nil {
+		if off < len(payload) && payload[off] < 0x80 {
+			nHops, off = uint64(payload[off]), off+1
+		} else if nHops, off, err = uvar(payload, off); err != nil {
 			return nil, err
 		}
 		if nHops > binMaxHops {
@@ -411,7 +424,9 @@ func decodeChunk(payload []byte, records uint32, sc *binScratch, out []probe.Tra
 		prevUS := int64(0)
 		for h := uint64(0); h < nHops; h++ {
 			var ref uint64
-			if ref, off, err = uvar(payload, off); err != nil {
+			if off < len(payload) && payload[off] < 0x80 {
+				ref, off = uint64(payload[off]), off+1
+			} else if ref, off, err = uvar(payload, off); err != nil {
 				return nil, err
 			}
 			if ref == 0 {
@@ -422,7 +437,10 @@ func decodeChunk(payload []byte, records uint32, sc *binScratch, out []probe.Tra
 				return nil, fmt.Errorf("tracefile: record %d: dictionary ref %d out of range", r, ref)
 			}
 			var dus int64
-			if dus, off, err = zigzag(payload, off); err != nil {
+			if off < len(payload) && payload[off] < 0x80 {
+				b := payload[off]
+				dus, off = int64(b>>1)^-int64(b&1), off+1
+			} else if dus, off, err = zigzag(payload, off); err != nil {
 				return nil, err
 			}
 			us := prevUS + dus

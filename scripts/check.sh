@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the full local gate: formatting, vet, build, the benchmark
-# module's own tests, race-enabled tests, and a short fuzz smoke over the
-# parsers that consume untrusted input.
+# module's own tests, race-enabled tests, a one-iteration bench smoke, and
+# a short fuzz smoke over the parsers that consume untrusted input.
 # Usage: scripts/check.sh [fuzz-seconds]   (default 10)
 set -eu
 
@@ -45,6 +45,11 @@ go test -race -count=10 ./internal/ordered
 go test -race -count=10 -run 'TestCampaignRetryChunkErrorReturns' ./internal/probe
 go test -race -count=10 -run 'TestReplayParallelCancel' ./internal/tracefile
 go test -race -count=3 -run 'TestDistributedMatchesLocal|TestNoLiveAgentsFallsBackLocal' -timeout 20m ./internal/dispatch
+
+echo "==> bench smoke (border sink + binary decode, one iteration each)"
+# Keeps the replay hot-path benchmarks compiling and running; -benchtime 1x
+# makes it a smoke, not a measurement.
+go test -run '^$' -bench 'BenchmarkConsume|BenchmarkTracefileDecode/binary' -benchtime 1x ./internal/border ./internal/tracefile
 
 echo "==> chaos smoke (fault injection + same-seed replay)"
 go test -run 'TestChaos' -timeout 10m .
