@@ -43,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -55,7 +56,6 @@ import (
 	"cloudmap/internal/faults"
 	"cloudmap/internal/metrics"
 	"cloudmap/internal/obs"
-	olog "cloudmap/internal/obs/log"
 	"cloudmap/internal/probe"
 	"cloudmap/internal/tracefile"
 )
@@ -166,7 +166,7 @@ func main() {
 			Agents:       splitAgents(*agents),
 			LeaseTimeout: *leaseTimeout,
 			Metrics:      reg,
-			Log:          olog.New(os.Stderr, olog.Info),
+			Log:          slog.New(slog.NewJSONHandler(os.Stderr, nil)),
 		}
 	}
 

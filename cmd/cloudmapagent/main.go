@@ -37,7 +37,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -48,7 +50,6 @@ import (
 	"cloudmap/internal/faults"
 	"cloudmap/internal/metrics"
 	"cloudmap/internal/obs"
-	olog "cloudmap/internal/obs/log"
 )
 
 func main() {
@@ -65,11 +66,12 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight leases on graceful shutdown")
 	flag.Parse()
 
-	level, err := olog.ParseLevel(*logLevel)
-	if err != nil {
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		log.Fatal(err)
 	}
-	logger := olog.New(os.Stderr, level)
+	ring := new(obs.LogRing)
+	logger := slog.New(slog.NewJSONHandler(io.MultiWriter(os.Stderr, ring), &slog.HandlerOptions{Level: level}))
 
 	var cfg cloudmap.Config
 	switch *scale {
@@ -106,7 +108,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		logger.With("agent").Info("chaos plan armed", "agent", id, "plan", *agentPlan)
+		logger.With("component", "agent").Info("chaos plan armed", "agent", id, "plan", *agentPlan)
 	}
 
 	sys, err := cloudmap.NewSystem(cfg)
@@ -133,7 +135,7 @@ func main() {
 	// /metrics, /progress, /logz, and pprof ride next to the lease routes.
 	mux := obs.NewMux(reg, prog)
 	agent.Mount(mux)
-	mux.Handle("/logz", logger.Handler())
+	mux.Handle("/logz", ring)
 
 	srv, err := obs.ServeHandler(*addr, mux)
 	if err != nil {
@@ -142,7 +144,7 @@ func main() {
 	fmt.Printf("cloudmapagent %s serving on http://%s (world %s)\n", id, srv.Addr(), fp)
 	if *debugAddr != "" {
 		dmux := obs.NewMux(reg, prog)
-		dmux.Handle("/logz", logger.Handler())
+		dmux.Handle("/logz", ring)
 		dsrv, err := obs.ServeHandler(*debugAddr, dmux)
 		if err != nil {
 			log.Fatal(err)
@@ -172,7 +174,7 @@ func main() {
 		cancel()
 	}()
 	if err := agent.Drain(ctx); err != nil {
-		logger.With("agent").Warn("drain aborted", "agent", id, "err", err)
+		logger.With("component", "agent").Warn("drain aborted", "agent", id, "err", err)
 		srv.Close()
 		os.Exit(1)
 	}

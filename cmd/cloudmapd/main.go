@@ -49,7 +49,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -59,7 +61,6 @@ import (
 	"cloudmap"
 	"cloudmap/internal/metrics"
 	"cloudmap/internal/obs"
-	olog "cloudmap/internal/obs/log"
 	"cloudmap/internal/service"
 )
 
@@ -100,10 +101,11 @@ func main() {
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
 	flag.Parse()
 
-	level, err := olog.ParseLevel(*logLevel)
-	if err != nil {
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		log.Fatal(err)
 	}
+	ring := new(obs.LogRing)
 
 	var cfg cloudmap.Config
 	switch *scale {
@@ -148,7 +150,7 @@ func main() {
 		LeaseTimeout:    *leaseTimeout,
 		Metrics:         reg,
 		Progress:        obs.NewProgress(reg),
-		Log:             olog.New(os.Stderr, level),
+		Log:             slog.New(slog.NewJSONHandler(io.MultiWriter(os.Stderr, ring), &slog.HandlerOptions{Level: level})),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -158,7 +160,9 @@ func main() {
 			rec.LastEpoch, rec.CheckpointEpoch, rec.ReplayedEntries)
 	}
 
-	srv, err := obs.ServeHandler(*addr, daemon.Handler())
+	mux := daemon.Handler()
+	mux.Handle("/logz", ring)
+	srv, err := obs.ServeHandler(*addr, mux)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"runtime"
@@ -14,7 +15,6 @@ import (
 	"cloudmap/internal/faults"
 	"cloudmap/internal/metrics"
 	"cloudmap/internal/obs"
-	olog "cloudmap/internal/obs/log"
 	"cloudmap/internal/probe"
 	"cloudmap/internal/tracefile"
 )
@@ -39,7 +39,7 @@ type AgentOptions struct {
 	// their listener instead. Nil defaults to os.Exit(3).
 	Exit func(reason string)
 	// Log receives lease and chaos events; nil discards.
-	Log *olog.Logger
+	Log *slog.Logger
 	// Metrics, when non-nil, mirrors the agent's self-reported stats as
 	// agent.* counters so the agent's own /metrics endpoint exposes them.
 	Metrics *metrics.Registry
@@ -74,7 +74,7 @@ func NewAgent(opts AgentOptions) *Agent {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	log := opts.Log.With("agent")
+	log := orDiscard(opts.Log).With("component", "agent")
 	opts.Log = log
 	if opts.Exit == nil {
 		opts.Exit = func(reason string) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"sync"
@@ -15,7 +16,6 @@ import (
 	"cloudmap/internal/metrics"
 	"cloudmap/internal/netblock"
 	"cloudmap/internal/obs"
-	olog "cloudmap/internal/obs/log"
 	"cloudmap/internal/ordered"
 	"cloudmap/internal/probe"
 	"cloudmap/internal/tracefile"
@@ -55,7 +55,7 @@ type Options struct {
 	// MetricsPrefix defaults to "dispatch"; the daemon installs "service".
 	MetricsPrefix string
 	// Log receives lease lifecycle events; nil discards.
-	Log *olog.Logger
+	Log *slog.Logger
 }
 
 func (o Options) withDefaults() Options {
@@ -86,8 +86,16 @@ func (o Options) withDefaults() Options {
 	if o.MetricsPrefix == "" {
 		o.MetricsPrefix = "dispatch"
 	}
-	o.Log = o.Log.With("dispatch")
+	o.Log = orDiscard(o.Log).With("component", "dispatch")
 	return o
+}
+
+// orDiscard is the nil-logger default of NewController and NewAgent.
+func orDiscard(l *slog.Logger) *slog.Logger {
+	if l == nil {
+		return slog.New(slog.NewJSONHandler(io.Discard, nil))
+	}
+	return l
 }
 
 // healthResurrect is how many consecutive heartbeat successes bring a lost

@@ -118,9 +118,14 @@ func NewTracer(journal io.Writer, chrome bool) *Tracer {
 }
 
 // emit writes one journal line and bumps the kind's count. Marshalling
-// happens outside the lock; the write is serialized.
+// happens outside the lock, and only when there is a journal to write; the
+// write is serialized.
 func (t *Tracer) emit(ev journalEvent) {
-	line, err := json.Marshal(ev)
+	var line []byte
+	var err error
+	if t.journal != nil {
+		line, err = json.Marshal(ev)
+	}
 	t.mu.Lock()
 	t.counts[ev.Kind+":"+ev.Ev]++
 	if t.journal != nil && t.jerr == nil {

@@ -132,6 +132,27 @@ func TestJournalContent(t *testing.T) {
 	}
 }
 
+// TestDetailWithoutJournalSkipsMarshal: a tracer with no journal (a
+// -trace-out-only run) must not marshal the millions of fault/retry details
+// a chaos campaign emits, so Detail allocates less than on a tracer writing
+// a journal. Counts still tally every event.
+func TestDetailWithoutJournalSkipsMarshal(t *testing.T) {
+	attrs := Attrs{"class": "lost", "attempt": "2"}
+	detailAllocs := func(tr *Tracer) float64 {
+		sp := tr.Root("campaign", "round-1", 0)
+		return testing.AllocsPerRun(200, func() { sp.Detail("fault", "point", 7, attrs) })
+	}
+	bare := NewTracer(nil, true)
+	without := detailAllocs(bare)
+	with := detailAllocs(NewTracer(io.Discard, true))
+	if without >= with {
+		t.Errorf("Detail without a journal allocates %v per call, with one %v: the event is still marshalled", without, with)
+	}
+	if n := bare.Counts()["fault:point"]; n < 200 {
+		t.Errorf("counts[fault:point] = %d, want every Detail tallied", n)
+	}
+}
+
 func TestWriteChromeTrace(t *testing.T) {
 	tr := NewTracer(nil, true)
 	run := tr.Root("run", "pipeline", 0)

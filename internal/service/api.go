@@ -58,19 +58,18 @@ type FleetReply struct {
 	Totals  dispatch.Stats       `json:"totals"`
 }
 
-// Handler builds the daemon's full HTTP surface: the query API under /v1/
+// Handler builds the daemon's HTTP surface: the query API under /v1/
 // mounted on the obs admin plane (/metrics, /progress, /debug/pprof/), so
 // one listener serves both. Every API route is Instrument-wrapped, so the
-// daemon's /metrics carries per-route http.* request telemetry; /logz
-// serves the structured-log ring.
-func (d *Daemon) Handler() http.Handler {
+// daemon's /metrics carries per-route http.* request telemetry. The caller
+// owns the logger, so it mounts /logz on the returned mux.
+func (d *Daemon) Handler() *http.ServeMux {
 	mux := obs.NewMux(d.reg, d.cfg.Progress)
 	mux.Handle("/v1/status", obs.Instrument(d.reg, "v1_status", http.HandlerFunc(d.handleStatus)))
 	mux.Handle("/v1/peerings", obs.Instrument(d.reg, "v1_peerings", http.HandlerFunc(d.handlePeerings)))
 	mux.Handle("/v1/deltas", obs.Instrument(d.reg, "v1_deltas", http.HandlerFunc(d.handleDeltas)))
 	mux.Handle("/v1/watch", obs.Instrument(d.reg, "v1_watch", http.HandlerFunc(d.handleWatch)))
 	mux.Handle("/v1/fleet", obs.Instrument(d.reg, "v1_fleet", http.HandlerFunc(d.handleFleet)))
-	mux.Handle("/logz", d.log.Handler())
 	return mux
 }
 

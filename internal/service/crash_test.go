@@ -5,11 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"testing"
 
-	olog "cloudmap/internal/obs/log"
 	"cloudmap/internal/tracefile"
 )
 
@@ -159,7 +159,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 
 		var logBuf bytes.Buffer
 		cfg := chaosConfig(dir, 8, 4)
-		cfg.Log = olog.New(&logBuf, olog.Info)
+		cfg.Log = slog.New(slog.NewJSONHandler(&logBuf, nil))
 		d2, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -14,7 +16,6 @@ import (
 	"cloudmap/internal/dispatch"
 	"cloudmap/internal/metrics"
 	"cloudmap/internal/obs"
-	olog "cloudmap/internal/obs/log"
 	"cloudmap/internal/pipeline"
 )
 
@@ -87,7 +88,7 @@ type Config struct {
 	Progress *obs.Progress
 	// Log receives supervision and recovery events (never journal
 	// material) as structured records; nil discards.
-	Log *olog.Logger
+	Log *slog.Logger
 
 	// testEpochErr, when set, injects a failure before an epoch attempt
 	// (package tests only — the deterministic pipeline cannot be made to
@@ -144,7 +145,7 @@ type Daemon struct {
 	session *cloudmap.Session
 	store   *Store
 	reg     *metrics.Registry
-	log     *olog.Logger
+	log     *slog.Logger
 
 	journalPath string
 	ckptDir     string
@@ -183,7 +184,9 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Progress == nil {
 		cfg.Progress = obs.NewProgress(cfg.Metrics)
 	}
-	cfg.Log = cfg.Log.With("service") // nil-safe: a nil logger discards
+	if cfg.Log == nil {
+		cfg.Log = slog.New(slog.NewJSONHandler(io.Discard, nil))
+	}
 	if cfg.WatchKeepalive == 0 {
 		cfg.WatchKeepalive = defaultWatchKeepalive
 	}
@@ -227,7 +230,7 @@ func New(cfg Config) (*Daemon, error) {
 		store.watchBuf = cfg.WatchBuffer
 	}
 	d := &Daemon{
-		cfg: cfg, session: session, store: store, reg: cfg.Metrics, log: cfg.Log,
+		cfg: cfg, session: session, store: store, reg: cfg.Metrics, log: cfg.Log.With("component", "service"),
 		journalPath: journalPath, ckptDir: ckptDir,
 
 		cEpochsCompleted: cfg.Metrics.Counter("service.epochs_completed"),

@@ -7,6 +7,7 @@
 #
 #   - the restart logs that it recovered and resumes epoch numbering
 #     (the journal stays gapless: epochs 1..N with no repeats or holes),
+#   - /logz serves the supervisor's recovery record,
 #   - the served map (/v1/peerings) matches the last journal record's
 #     row count,
 #   - a SIGTERM afterwards still exits cleanly.
@@ -85,8 +86,18 @@ grep -q 'cloudmapd recovered' "$WORK/cloudmapd-recover.log" || {
 }
 echo "recovered and continued: epoch $PRE_EPOCH -> $POST_EPOCH"
 
-# The served map must match the journal's last record.
 ADDR="$(cat "$WORK/addr2.txt")"
+
+# The supervisor's recovery record must reach the daemon's /logz ring.
+curl -fsS "http://$ADDR/logz" >"$WORK/logz.jsonl"
+grep '"msg":"recovery: rehydrated store; running warm-up epoch"' "$WORK/logz.jsonl" |
+	grep -q '"component":"service"' || {
+	echo "/logz serves no service recovery record:" >&2
+	cat "$WORK/logz.jsonl" >&2
+	exit 1
+}
+
+# The served map must match the journal's last record.
 SERVED_ROWS="$(curl -fsS "http://$ADDR/v1/peerings" | grep -o '"cbi"' | wc -l | tr -d ' ')"
 JOURNAL_ROWS="$(grep -o '"peerings":[0-9]*' "$STATE/epochs.wal" | tail -1 | cut -d: -f2)"
 [ "$SERVED_ROWS" = "$JOURNAL_ROWS" ] || {
