@@ -84,9 +84,12 @@ type Config struct {
 	// (results stay byte-identical to a sequential run). <=0 defaults to
 	// runtime.GOMAXPROCS(0); 1 means sequential.
 	Workers int
-	// RecordTraces, when non-nil, receives a copy of every Amazon-campaign
-	// traceroute (rounds 1 and 2) — wire it to a tracefile.Writer to
-	// archive the campaign for later replay.
+	// RecordTraces, when non-nil, receives every Amazon-campaign traceroute
+	// (rounds 1 and 2) — wire it to a tracefile.Writer to archive the
+	// campaign for later replay. The trace is passed through, not copied:
+	// tr.Hops shares the campaign's hop arena, which may be recycled once
+	// the sink returns, so the sink must not keep tr.Hops after it returns
+	// (tracefile.Writer encodes each trace on the spot and keeps nothing).
 	RecordTraces probe.TraceSink
 }
 

@@ -78,7 +78,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel probing workers; <=0 uses all CPUs (output is identical regardless)")
 	skipBdrmap := flag.Bool("skip-bdrmap", false, "skip the §8 bdrmap baseline")
 	out := flag.String("o", "", "also write the report to this file")
-	traces := flag.String("traces", "", "archive the Amazon campaign to this tracefile (.bin = binary v2, .gz = gzip text)")
+	traces := flag.String("traces", "", "archive the Amazon campaign to this tracefile (binary v2, whatever the extension)")
 	csvDir := flag.String("csv", "", "dump figure data as CSV files into this directory")
 	checkpointDir := flag.String("checkpoint-dir", "", "persist probing rounds and the run manifest in this directory")
 	resume := flag.Bool("resume", false, "replay complete campaign checkpoints from -checkpoint-dir instead of re-probing")
@@ -130,8 +130,8 @@ func main() {
 		cfg.Dirty = plan
 	}
 
-	// The archive encoding follows the extension: .bin for the v2 binary
-	// format, .gz for gzip text, anything else plain text.
+	// The archive is a v2 binary tracefile; the writer encodes each trace as
+	// it arrives, so it never holds on to the campaign's hop slices.
 	var traceWriter *tracefile.FileWriter
 	if *traces != "" {
 		fw, err := tracefile.Create(*traces)

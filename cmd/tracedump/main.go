@@ -4,23 +4,29 @@
 // plane: where a probe exits Amazon, which segment would be inferred as the
 // interconnection, and how each hop resolves against the public datasets.
 //
-// It is also the tracefile format tool: -convert re-encodes a campaign
-// checkpoint between the text and binary encodings (sniffing text, gzip and
-// binary input transparently), and -stat summarises a file's on-disk shape.
+// It is also the tracefile inspector: -cat prints a campaign checkpoint one
+// record per line, and -stat summarises a file's on-disk shape. The -cat
+// layout is for reading and grepping; nothing parses it back:
+//
+//	T <cloud>/<region> <dst> <status> <hop>[,<hop>...]
+//
+// where each hop is either "*" (unresponsive) or "<addr>/<rtt-µs>".
 //
 // Usage:
 //
-//	tracedump -dst 64.0.0.1 [-cloud amazon] [-region 0] [-scale small] [-seed N] [-save traces.txt]
-//	tracedump -convert campaign.traces.bin -to text -o campaign.traces.gz
+//	tracedump -dst 64.0.0.1 [-cloud amazon] [-region 0] [-scale small] [-seed N] [-save trace.traces.bin]
+//	tracedump -cat campaign.traces.bin | grep ' 64.0.0.1 '
 //	tracedump -stat campaign.traces.bin
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
-	"strings"
+	"strconv"
 
 	"cloudmap"
 	"cloudmap/internal/netblock"
@@ -35,10 +41,8 @@ func main() {
 	cloud := flag.String("cloud", "amazon", "probing cloud")
 	region := flag.Int("region", 0, "probing region index")
 	dstFlag := flag.String("dst", "", "destination address (required)")
-	save := flag.String("save", "", "append the trace to this tracefile")
-	convert := flag.String("convert", "", "tracefile to re-encode (any encoding; use with -to and -o)")
-	to := flag.String("to", "binary", "conversion target format: text or binary")
-	out := flag.String("o", "", "conversion output path (text output ending in .gz is gzipped)")
+	save := flag.String("save", "", "write the trace to this tracefile, replacing any previous content")
+	cat := flag.String("cat", "", "tracefile to print, one record per line")
 	stat := flag.String("stat", "", "tracefile to summarise (records, chunks, bytes/trace, dictionary hit rate)")
 	flag.Parse()
 
@@ -48,8 +52,8 @@ func main() {
 		}
 		return
 	}
-	if *convert != "" {
-		if err := runConvert(*convert, *to, *out); err != nil {
+	if *cat != "" {
+		if err := runCat(*cat); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -111,77 +115,53 @@ func main() {
 	}
 
 	if *save != "" {
-		f, err := os.OpenFile(*save, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+		fw, err := tracefile.Create(*save)
 		if err != nil {
 			log.Fatal(err)
 		}
-		w, err := tracefile.NewWriter(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		w.Write(tr)
-		if err := w.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		fw.Write(tr)
+		if err := fw.Finish(); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("saved to %s\n", *save)
 	}
 }
 
-// runConvert re-encodes src into the target format, preserving the
-// completeness mark: a partial input stays a loadable partial output.
-func runConvert(src, to, out string) error {
-	if out == "" {
-		return fmt.Errorf("-convert requires -o (output path)")
-	}
-	f, err := os.OpenFile(out, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
+// runCat prints every record of a tracefile to stdout, then fails if the
+// file turned out torn or foreign. A partial (interrupted) file prints
+// whatever it holds.
+func runCat(path string) error {
+	out := bufio.NewWriter(os.Stdout)
+	var b []byte
+	_, rerr := tracefile.ReplayFile(path, func(tr probe.Trace) {
+		b = appendRecord(b[:0], tr)
+		out.Write(b) // a write error sticks and Flush reports it
+	})
+	if err := out.Flush(); err != nil {
 		return err
 	}
-	var w *tracefile.Writer
-	switch to {
-	case "binary":
-		w, err = tracefile.NewBinaryWriter(f)
-	case "text":
-		if strings.HasSuffix(out, ".gz") {
-			w, err = tracefile.NewGzipWriter(f)
-		} else {
-			w, err = tracefile.NewWriter(f)
-		}
-	default:
-		f.Close()
-		return fmt.Errorf("-to %q: want text or binary", to)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	sum, rerr := tracefile.ReplayFile(src, w.Sink())
 	if rerr != nil {
-		f.Close()
-		os.Remove(out)
-		return fmt.Errorf("read %s: %w", src, rerr)
+		return fmt.Errorf("cat %s: %w", path, rerr)
 	}
-	if sum.Complete {
-		err = w.Finish()
-	} else {
-		err = w.Close()
-	}
-	if err == nil {
-		err = f.Close()
-	}
-	if err != nil {
-		os.Remove(out)
-		return fmt.Errorf("write %s: %w", out, err)
-	}
-	state := "complete"
-	if !sum.Complete {
-		state = "partial"
-	}
-	fmt.Printf("%s: %d traces (%s) -> %s (%s)\n", src, sum.Traces, state, out, to)
 	return nil
+}
+
+// appendRecord formats one trace as a -cat line.
+func appendRecord(b []byte, tr probe.Trace) []byte {
+	b = fmt.Appendf(b, "T %s/%d %s %d ", tr.Src.Cloud, tr.Src.Region, tr.Dst, tr.Status)
+	for i, h := range tr.Hops {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if !h.Responsive() {
+			b = append(b, '*')
+			continue
+		}
+		b = append(b, h.Addr.String()...)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(math.Round(h.RTTms*1000)), 10)
+	}
+	return append(b, '\n')
 }
 
 // runStat prints a tracefile's on-disk shape.
@@ -194,14 +174,12 @@ func runStat(path string) error {
 	if !st.Complete {
 		state = "partial"
 	}
-	fmt.Printf("%s: %s, %s\n", path, st.Format, state)
+	fmt.Printf("%s: binary, %s\n", path, state)
 	fmt.Printf("  records      %d\n", st.Records)
 	fmt.Printf("  bytes        %d (%.2f bytes/trace)\n", st.Bytes, st.BytesPerTrace())
 	fmt.Printf("  hops         %d (%d responsive)\n", st.Hops, st.ResponsiveHops)
-	if st.Format == "binary" || st.Format == "gzip+binary" {
-		fmt.Printf("  chunks       %d\n", st.Chunks)
-		fmt.Printf("  dictionary   %d entries, %.1f%% hit rate\n", st.DictEntries, 100*st.DictHitRate())
-	}
+	fmt.Printf("  chunks       %d\n", st.Chunks)
+	fmt.Printf("  dictionary   %d entries, %.1f%% hit rate\n", st.DictEntries, 100*st.DictHitRate())
 	return nil
 }
 

@@ -27,16 +27,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	path := filepath.Join(os.TempDir(), "cloudmap-replay.traces")
+	path := filepath.Join(os.TempDir(), "cloudmap-replay.traces.bin")
 	defer os.Remove(path)
 
 	// Phase 1: the measurement campaign, recorded to disk while a live
 	// inference consumes it (tracefile.Tee fans the stream out).
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	w, err := tracefile.NewWriter(f)
+	w, err := tracefile.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,10 +42,7 @@ func main() {
 	if err := sys.Prober.Campaign(sys.Prober.VMs("amazon"), targets, tracefile.Tee(w.Sink(), live.Consume)); err != nil {
 		log.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := w.Finish(); err != nil {
 		log.Fatal(err)
 	}
 	st, _ := os.Stat(path)
@@ -57,14 +50,13 @@ func main() {
 
 	// Phase 2: a fresh inference run fed exclusively from the file.
 	replayed := border.New(sys.Registry, "amazon")
-	rf, err := os.Open(path)
+	fmt.Println("phase 2: replaying the file into a fresh inference (no simulator)")
+	sum, err := tracefile.ReplayFile(path, replayed.Consume)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer rf.Close()
-	fmt.Println("phase 2: replaying the file into a fresh inference (no simulator)")
-	if err := tracefile.Read(rf, replayed.Consume); err != nil {
-		log.Fatal(err)
+	if !sum.Complete {
+		log.Fatal("replay: the recorded campaign is incomplete")
 	}
 
 	// The two runs must agree exactly.

@@ -255,14 +255,11 @@ func (a *Agent) handleLease(w http.ResponseWriter, r *http.Request) {
 	// chunks plus index and trailer, so the controller verifies integrity
 	// and completeness with the format's own machinery.
 	var buf bytes.Buffer
-	tw, err := tracefile.NewBinaryWriter(&buf)
-	if err == nil {
-		for _, tr := range traces {
-			tw.Write(tr)
-		}
-		err = tw.Finish()
+	tw := tracefile.NewWriter(&buf)
+	for _, tr := range traces {
+		tw.Write(tr)
 	}
-	if err != nil {
+	if err := tw.Finish(); err != nil {
 		http.Error(w, fmt.Sprintf("lease encode: %v", err), http.StatusInternalServerError)
 		return
 	}

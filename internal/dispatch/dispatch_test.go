@@ -85,10 +85,7 @@ func runLocal(t *testing.T, sys *cloudmap.System, ca campaignArgs, workers int) 
 func quantize(t *testing.T, traces []probe.Trace) []probe.Trace {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := tracefile.NewBinaryWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := tracefile.NewWriter(&buf)
 	for _, tr := range traces {
 		w.Write(tr)
 	}

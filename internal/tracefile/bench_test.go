@@ -2,7 +2,6 @@ package tracefile
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,21 +9,22 @@ import (
 	"cloudmap/internal/probe"
 )
 
-// benchTraces is sized so text, gzip and binary encoders all amortise
-// their per-stream overhead and the binary format spans many chunks.
+// benchTraceCount is sized so the encoder amortises its per-stream overhead
+// and the file spans many chunks.
 const benchTraceCount = 50000
 
-func benchEncode(b *testing.B, mk func(io.Writer) (*Writer, error)) {
+// The "binary" sub-benchmark names predate the single encoding; they stay
+// so BENCH_pipeline.json records remain comparable across versions.
+func BenchmarkTracefileEncode(b *testing.B) { b.Run("binary", benchEncode) }
+
+func benchEncode(b *testing.B) {
 	traces := synthTraces(benchTraceCount)
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		w, err := mk(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
+		w := NewWriter(&buf)
 		for _, tr := range traces {
 			w.Write(tr)
 		}
@@ -36,12 +36,6 @@ func benchEncode(b *testing.B, mk func(io.Writer) (*Writer, error)) {
 	b.SetBytes(int64(buf.Len()))
 	b.ReportMetric(float64(benchTraceCount)*float64(b.N)/b.Elapsed().Seconds(), "traces/s")
 	b.ReportMetric(float64(buf.Len())/float64(benchTraceCount), "bytes/trace")
-}
-
-func BenchmarkTracefileEncode(b *testing.B) {
-	b.Run("text", func(b *testing.B) { benchEncode(b, NewWriter) })
-	b.Run("gzip", func(b *testing.B) { benchEncode(b, NewGzipWriter) })
-	b.Run("binary", func(b *testing.B) { benchEncode(b, NewBinaryWriter) })
 }
 
 func benchDecode(b *testing.B, raw []byte) {
@@ -59,13 +53,10 @@ func benchDecode(b *testing.B, raw []byte) {
 	b.ReportMetric(float64(benchTraceCount)*float64(b.N)/b.Elapsed().Seconds(), "traces/s")
 }
 
-func encodeAll(b *testing.B, mk func(io.Writer) (*Writer, error)) []byte {
+func encodeAll(b *testing.B) []byte {
 	b.Helper()
 	var buf bytes.Buffer
-	w, err := mk(&buf)
-	if err != nil {
-		b.Fatal(err)
-	}
+	w := NewWriter(&buf)
 	for _, tr := range synthTraces(benchTraceCount) {
 		w.Write(tr)
 	}
@@ -76,13 +67,11 @@ func encodeAll(b *testing.B, mk func(io.Writer) (*Writer, error)) []byte {
 }
 
 func BenchmarkTracefileDecode(b *testing.B) {
-	b.Run("text", func(b *testing.B) { benchDecode(b, encodeAll(b, NewWriter)) })
-	b.Run("gzip", func(b *testing.B) { benchDecode(b, encodeAll(b, NewGzipWriter)) })
-	b.Run("binary", func(b *testing.B) { benchDecode(b, encodeAll(b, NewBinaryWriter)) })
+	b.Run("binary", func(b *testing.B) { benchDecode(b, encodeAll(b)) })
 	b.Run("binary-parallel", func(b *testing.B) {
 		dir := b.TempDir()
 		path := filepath.Join(dir, "bench.traces.bin")
-		if err := os.WriteFile(path, encodeAll(b, NewBinaryWriter), 0o644); err != nil {
+		if err := os.WriteFile(path, encodeAll(b), 0o644); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -99,31 +88,22 @@ func BenchmarkTracefileDecode(b *testing.B) {
 }
 
 // BenchmarkTracefileScan measures the completeness probe alone — the cost
-// resume pays before deciding a checkpoint is usable. The binary scan walks
-// CRC frames without decoding records.
-func BenchmarkTracefileScan(b *testing.B) {
-	for _, f := range []struct {
-		name string
-		mk   func(io.Writer) (*Writer, error)
-		ext  string
-	}{
-		{"gzip", NewGzipWriter, "traces.gz"},
-		{"binary", NewBinaryWriter, "traces.bin"},
-	} {
-		b.Run(f.name, func(b *testing.B) {
-			path := filepath.Join(b.TempDir(), "scan."+f.ext)
-			if err := os.WriteFile(path, encodeAll(b, f.mk), 0o644); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sum, err := ScanFile(path)
-				if err != nil || !sum.Complete || sum.Traces != benchTraceCount {
-					b.Fatalf("scan: %+v, %v", sum, err)
-				}
-			}
-			b.ReportMetric(float64(benchTraceCount)*float64(b.N)/b.Elapsed().Seconds(), "traces/s")
-		})
+// resume pays before deciding a checkpoint is usable. The scan walks CRC
+// frames without decoding records.
+func BenchmarkTracefileScan(b *testing.B) { b.Run("binary", benchScan) }
+
+func benchScan(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "scan.traces.bin")
+	if err := os.WriteFile(path, encodeAll(b), 0o644); err != nil {
+		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum, err := ScanFile(path)
+		if err != nil || !sum.Complete || sum.Traces != benchTraceCount {
+			b.Fatalf("scan: %+v, %v", sum, err)
+		}
+	}
+	b.ReportMetric(float64(benchTraceCount)*float64(b.N)/b.Elapsed().Seconds(), "traces/s")
 }

@@ -25,11 +25,10 @@ package tracefile
 // hops appear in every trace from a region), so the dictionary plus varint
 // deltas compress about as well as gzip while decoding an order of
 // magnitude faster — no inflate, no line splitting, no dotted-quad parsing.
-// The trailer is the completeness mark, replacing the text format's
-// "# complete <n>" comment: a file with a valid index + trailer is a whole
-// campaign; whole chunks without an index are a loadable partial (Close
-// without Finish); a torn final frame is ErrTruncated, exactly the signal
-// checkpoint resume uses to fall back to live re-probing. The fixed-width
+// The trailer is the completeness mark: a file with a valid index + trailer
+// is a whole campaign; whole chunks without an index are a loadable partial
+// (Close without Finish); a torn final frame is ErrTruncated, exactly the
+// signal checkpoint resume uses to fall back to live re-probing. The fixed-width
 // index entries let a resume seek to any chunk directly, so decode fans out
 // across workers instead of scanning one stream.
 
@@ -73,11 +72,6 @@ var (
 	binEndMagic = [4]byte{'2', 'F', 'T', 'M'}
 )
 
-// isBinMagic reports whether b starts with the v2 binary magic.
-func isBinMagic(b []byte) bool {
-	return len(b) >= len(binMagic) && string(b[:len(binMagic)]) == string(binMagic[:])
-}
-
 func appendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
 }
@@ -113,18 +107,6 @@ type binWriter struct {
 
 	payload []byte // frame assembly buffer, reused across chunks
 	index   []binChunkInfo
-}
-
-func newBinWriter(out *bufio.Writer) (*binWriter, error) {
-	if _, err := out.Write(binMagic[:]); err != nil {
-		return nil, err
-	}
-	return &binWriter{
-		out:    out,
-		off:    uint64(len(binMagic)),
-		dict:   make(map[netblock.IP]uint32, binChunkRecords),
-		clouds: make(map[string]uint32, 8),
-	}, nil
 }
 
 func (bw *binWriter) encode(tr probe.Trace) error {
@@ -461,29 +443,33 @@ func decodeChunk(payload []byte, records uint32, sc *binScratch, out []probe.Tra
 	return out, nil
 }
 
-// replayBinary sequentially decodes a v2 stream whose magic has not yet
-// been consumed. A clean stop at a frame boundary before the index is a
-// loadable partial file (Complete=false); anything torn — short frame, CRC
-// mismatch, missing trailer — reports ErrTruncated so resume logic
-// re-probes instead of trusting the file.
-func replayBinary(br *bufio.Reader, sink probe.TraceSink) (Summary, error) {
-	return binaryScan(br, sink, nil)
+// readMagic consumes the 8-byte header. Input that stops inside it, an
+// empty file included, is a checkpoint torn before its first write reached
+// disk — ErrTruncated, so resume re-probes; anything else that is not the
+// magic is not a tracefile at all.
+func readMagic(br *bufio.Reader) error {
+	var magic [len(binMagic)]byte
+	n, err := io.ReadFull(br, magic[:])
+	if string(magic[:n]) != string(binMagic[:n]) {
+		return fmt.Errorf("tracefile: not a tracefile (bad magic %q)", magic[:n])
+	}
+	if err != nil {
+		return fmt.Errorf("%w: header cut short after %d of %d bytes", ErrTruncated, n, len(binMagic))
+	}
+	return nil
 }
 
-// scanBinary is replayBinary without record decoding: frames are CRC
-// verified and counted, payloads never parsed.
-func scanBinary(br *bufio.Reader) (Summary, error) {
-	return binaryScan(br, nil, nil)
-}
-
-// binaryScan is the sequential v2 reader. sink, when non-nil, receives
-// every decoded record; st, when non-nil, accumulates per-chunk format
-// statistics (chunk count, dictionary sizes) as the walk proceeds.
+// binaryScan is the sequential v2 reader. A clean stop at a frame boundary
+// before the index is a loadable partial file (Complete=false); anything
+// torn — short frame, CRC mismatch, missing trailer — reports ErrTruncated
+// so resume logic re-probes instead of trusting the file. sink, when
+// non-nil, receives every decoded record; st, when non-nil, accumulates
+// per-chunk format statistics (chunk count, dictionary sizes) as the walk
+// proceeds.
 func binaryScan(br *bufio.Reader, sink probe.TraceSink, st *Stats) (Summary, error) {
 	var sum Summary
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil || !isBinMagic(magic[:]) {
-		return sum, fmt.Errorf("tracefile: not a binary tracefile header")
+	if err := readMagic(br); err != nil {
+		return sum, err
 	}
 	sc := scratchPool.Get().(*binScratch)
 	defer scratchPool.Put(sc)
@@ -610,8 +596,8 @@ func validateTrailer(tr [binTrailerLen]byte, indexOff uint64) error {
 }
 
 // readBinaryIndex seeks to the trailer of a complete v2 file and loads the
-// chunk index, without touching any chunk. It returns an error for text,
-// gzip, partial or torn files — callers fall back to sequential replay.
+// chunk index, without touching any chunk. It returns an error for
+// partial, torn or foreign files — callers fall back to sequential replay.
 func readBinaryIndex(f *os.File) ([]binChunkInfo, uint64, error) {
 	st, err := f.Stat()
 	if err != nil {
@@ -621,8 +607,8 @@ func readBinaryIndex(f *os.File) ([]binChunkInfo, uint64, error) {
 	if size < int64(len(binMagic))+binFrameHeaderLen+binTrailerLen {
 		return nil, 0, fmt.Errorf("tracefile: too short for a complete binary file")
 	}
-	var magic [8]byte
-	if _, err := f.ReadAt(magic[:], 0); err != nil || !isBinMagic(magic[:]) {
+	var magic [len(binMagic)]byte
+	if _, err := f.ReadAt(magic[:], 0); err != nil || magic != binMagic {
 		return nil, 0, fmt.Errorf("tracefile: not a binary tracefile")
 	}
 	var tr [binTrailerLen]byte
@@ -687,8 +673,8 @@ func readBinaryIndex(f *os.File) ([]binChunkInfo, uint64, error) {
 // across workers when the file is a complete v2 binary checkpoint. Chunks
 // are read, CRC-checked and decoded through ordered.Run, so traces reach
 // sink in exactly the order a sequential replay produces them and every
-// consumer-visible artefact stays byte-identical at any worker count. Text,
-// gzip, partial and torn files fall back to the sequential sniffing reader.
+// consumer-visible artefact stays byte-identical at any worker count.
+// Partial and torn files fall back to the sequential reader.
 func ReplayFileParallel(path string, workers int, sink probe.TraceSink) (Summary, error) {
 	return ReplayFileParallelCtx(context.Background(), path, workers, sink)
 }
@@ -704,8 +690,8 @@ func ReplayFileParallelCtx(ctx context.Context, path string, workers int, sink p
 	defer f.Close()
 	chunks, total, ierr := readBinaryIndex(f)
 	if ierr != nil || workers <= 1 || len(chunks) < 2 {
-		// Not an indexed binary file (or no parallelism to exploit): the
-		// sequential reader handles every format and damage mode.
+		// Not a complete indexed file (or no parallelism to exploit): the
+		// sequential reader handles every damage mode.
 		if err := ctx.Err(); err != nil {
 			return Summary{}, fmt.Errorf("tracefile: replay interrupted: %w", err)
 		}

@@ -2,7 +2,6 @@ package tracefile
 
 import (
 	"bytes"
-	"compress/gzip"
 	"errors"
 	"math"
 	"os"
@@ -75,17 +74,15 @@ func equalTraces(tb testing.TB, want, got []probe.Trace) {
 func writeBinary(tb testing.TB, traces []probe.Trace, finish bool) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	w, err := NewBinaryWriter(&buf)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	w := NewWriter(&buf)
 	for _, tr := range traces {
 		w.Write(tr)
 	}
+	var err error
 	if finish {
 		err = w.Finish()
 	} else {
-		err = w.Close()
+		err = w.Flush()
 	}
 	if err != nil {
 		tb.Fatal(err)
@@ -97,7 +94,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	// Enough traces for several chunks, plus the odd tail chunk.
 	in := synthTraces(3*binChunkRecords + 123)
 	raw := writeBinary(t, in, true)
-	if !isBinMagic(raw) {
+	if !bytes.HasPrefix(raw, binMagic[:]) {
 		t.Fatal("output does not start with the v2 magic")
 	}
 
@@ -124,8 +121,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 
 func TestBinaryPartialAndEmpty(t *testing.T) {
 	in := synthTraces(binChunkRecords + 5)
-	// Close without Finish: whole chunks are loadable, the buffered tail
-	// (5 records, unflushed partial chunk was flushed by Close) included.
+	// Flush without Finish: whole chunks are loadable, the buffered tail
+	// (5 records, framed as a partial chunk by Flush) included.
 	raw := writeBinary(t, in, false)
 	var out []probe.Trace
 	sum, err := Replay(bytes.NewReader(raw), func(tr probe.Trace) { out = append(out, tr) })
@@ -149,8 +146,11 @@ func TestBinaryTruncationAtEveryBoundary(t *testing.T) {
 	in := synthTraces(2*binChunkRecords + 10)
 	raw := writeBinary(t, in, true)
 
-	// Cut inside every frame region: header, payload, index, trailer.
+	// Cut inside every frame region: magic, header, payload, index,
+	// trailer. A cut inside the 8-byte magic (0 included: the file a crash
+	// leaves before its first write lands) is a torn checkpoint too.
 	cuts := []int{
+		0, 1, 2, 3, 4, 5, 6, 7, // inside the magic
 		len(binMagic) + 4,                     // inside first chunk header
 		len(binMagic) + binFrameHeaderLen + 9, // inside first chunk payload
 		len(raw) - binTrailerLen - 3,          // inside the index frame
@@ -199,26 +199,6 @@ func TestBinaryTruncationAtEveryBoundary(t *testing.T) {
 	}
 }
 
-func TestBinaryGzipWrapped(t *testing.T) {
-	// A gzip-compressed binary file still sniffs correctly (two layers).
-	in := synthTraces(100)
-	raw := writeBinary(t, in, true)
-	var gz bytes.Buffer
-	zw := gzip.NewWriter(&gz)
-	if _, err := zw.Write(raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var out []probe.Trace
-	sum, err := Replay(bytes.NewReader(gz.Bytes()), func(tr probe.Trace) { out = append(out, tr) })
-	if err != nil || !sum.Complete || sum.Traces != len(in) {
-		t.Fatalf("gzip-wrapped binary: %+v, %v", sum, err)
-	}
-	equalTraces(t, in, out)
-}
-
 func TestBinaryParallelMatchesSerial(t *testing.T) {
 	in := synthTraces(5*binChunkRecords + 77)
 	dir := t.TempDir()
@@ -247,7 +227,7 @@ func TestBinaryParallelMatchesSerial(t *testing.T) {
 	}
 
 	// Parallel replay of a torn file falls back to the sequential path and
-	// reports truncation like the text reader does.
+	// reports truncation.
 	torn := writeBinary(t, in, true)
 	torn = torn[:len(torn)-9]
 	tornPath := filepath.Join(dir, "torn.traces.bin")
@@ -258,22 +238,15 @@ func TestBinaryParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("torn parallel replay: %v, want ErrTruncated", err)
 	}
 
-	// And of a text file: transparently sequential.
-	textPath := filepath.Join(dir, "campaign.traces.gz")
-	tw, err := Create(textPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range in[:50] {
-		tw.Write(tr)
-	}
-	if err := tw.Finish(); err != nil {
+	// And of a partial file (no index): transparently sequential.
+	partPath := filepath.Join(dir, "partial.traces.bin")
+	if err := os.WriteFile(partPath, writeBinary(t, in[:50], false), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	sum, err := ReplayFileParallel(textPath, 8, func(probe.Trace) { n++ })
-	if err != nil || !sum.Complete || n != 50 {
-		t.Fatalf("text fallback: %+v, %v, n=%d", sum, err, n)
+	sum, err := ReplayFileParallel(partPath, 8, func(probe.Trace) { n++ })
+	if err != nil || sum.Complete || n != 50 {
+		t.Fatalf("partial fallback: %+v, %v, n=%d", sum, err, n)
 	}
 }
 
@@ -308,7 +281,7 @@ func TestBinaryCreateByExtension(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
-	if err != nil || !isBinMagic(raw) {
+	if err != nil || !bytes.HasPrefix(raw, binMagic[:]) {
 		t.Fatalf("created file is not binary: %v", err)
 	}
 	var out []probe.Trace
@@ -320,38 +293,26 @@ func TestBinaryCreateByExtension(t *testing.T) {
 }
 
 func TestWriterRejectsBadTraces(t *testing.T) {
-	for _, format := range []string{"text", "binary"} {
-		var buf bytes.Buffer
-		var w *Writer
-		var err error
-		if format == "binary" {
-			w, err = NewBinaryWriter(&buf)
-		} else {
-			w, err = NewWriter(&buf)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad := probe.Trace{
-			Src:  probe.VMRef{Cloud: "amazon", Region: 0},
-			Dst:  netblock.MustParseIP("1.2.3.4"),
-			Hops: []probe.Hop{{Addr: netblock.MustParseIP("10.0.0.1"), RTTms: -1}},
-		}
-		w.Write(bad)
-		// The error sticks: later writes are dropped and Finish reports it.
-		w.Write(probe.Trace{Src: probe.VMRef{Cloud: "a"}})
-		if err := w.Finish(); err == nil {
-			t.Errorf("%s: finish after bad record succeeded", format)
-		}
-		if w.Count() != 0 {
-			t.Errorf("%s: bad record counted", format)
-		}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	bad := probe.Trace{
+		Src:  probe.VMRef{Cloud: "amazon", Region: 0},
+		Dst:  netblock.MustParseIP("1.2.3.4"),
+		Hops: []probe.Hop{{Addr: netblock.MustParseIP("10.0.0.1"), RTTms: -1}},
+	}
+	w.Write(bad)
+	// The error sticks: later writes are dropped and Finish reports it.
+	w.Write(probe.Trace{Src: probe.VMRef{Cloud: "a"}})
+	if err := w.Finish(); err == nil {
+		t.Error("finish after bad record succeeded")
+	}
+	if w.Count() != 0 {
+		t.Error("bad record counted")
 	}
 }
 
 // TestEncodeDecodeEncodeIdentity is the property the RTT fix buys: after
-// one quantising round trip, encode→decode→encode is byte-identical for
-// both formats.
+// one quantising round trip, encode→decode→encode is byte-identical.
 func TestEncodeDecodeEncodeIdentity(t *testing.T) {
 	f := func(cloudIdx, region uint8, dst uint32, addrs []uint32, status uint8) bool {
 		clouds := []string{"amazon", "microsoft", "google"}
@@ -367,54 +328,43 @@ func TestEncodeDecodeEncodeIdentity(t *testing.T) {
 				tr.Hops = append(tr.Hops, probe.Hop{Addr: netblock.IP(a), RTTms: float64(a%100000000) / 1000})
 			}
 		}
-		for _, binary := range []bool{false, true} {
-			enc := func(in []probe.Trace) []byte {
-				var buf bytes.Buffer
-				var w *Writer
-				var err error
-				if binary {
-					w, err = NewBinaryWriter(&buf)
-				} else {
-					w, err = NewWriter(&buf)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, tr := range in {
-					w.Write(tr)
-				}
-				if err := w.Finish(); err != nil {
-					t.Fatal(err)
-				}
-				return buf.Bytes()
+		enc := func(in []probe.Trace) []byte {
+			var buf bytes.Buffer
+			w := NewWriter(&buf)
+			for _, tr := range in {
+				w.Write(tr)
 			}
-			dec := func(raw []byte) []probe.Trace {
-				var out []probe.Trace
-				if _, err := Replay(bytes.NewReader(raw), func(tr probe.Trace) {
-					tr.Hops = append([]probe.Hop(nil), tr.Hops...)
-					out = append(out, tr)
-				}); err != nil {
-					t.Fatal(err)
-				}
-				return out
+			if err := w.Finish(); err != nil {
+				t.Fatal(err)
 			}
-			first := enc([]probe.Trace{tr})
-			mid := dec(first)
-			second := enc(mid)
-			if !bytes.Equal(first, second) {
-				t.Logf("binary=%v: encode→decode→encode not identity", binary)
+			return buf.Bytes()
+		}
+		dec := func(raw []byte) []probe.Trace {
+			var out []probe.Trace
+			if _, err := Replay(bytes.NewReader(raw), func(tr probe.Trace) {
+				tr.Hops = append([]probe.Hop(nil), tr.Hops...)
+				out = append(out, tr)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		first := enc([]probe.Trace{tr})
+		mid := dec(first)
+		second := enc(mid)
+		if !bytes.Equal(first, second) {
+			t.Log("encode→decode→encode not identity")
+			return false
+		}
+		// And decoded RTTs are exactly the µs-quantised inputs.
+		for i, h := range tr.Hops {
+			if !h.Responsive() {
+				continue
+			}
+			want := float64(rttMicros(h.RTTms)) / 1000
+			if mid[0].Hops[i].RTTms != want {
+				t.Logf("hop %d: RTT %v, want exactly %v", i, mid[0].Hops[i].RTTms, want)
 				return false
-			}
-			// And decoded RTTs are exactly the µs-quantised inputs.
-			for i, h := range tr.Hops {
-				if !h.Responsive() {
-					continue
-				}
-				want := float64(rttMicros(h.RTTms)) / 1000
-				if mid[0].Hops[i].RTTms != want {
-					t.Logf("binary=%v hop %d: RTT %v, want exactly %v", binary, i, mid[0].Hops[i].RTTms, want)
-					return false
-				}
 			}
 		}
 		return true

@@ -8,12 +8,12 @@ import (
 	"cloudmap/internal/probe"
 )
 
-// FuzzReadBinary drives arbitrary bytes through the binary replay path. The
-// invariants mirror FuzzRead: no panic, no unbounded allocation, and every
-// record that survives the CRC/validation gauntlet is well-formed. The seed
-// corpus covers a complete file, a partial (no-index) file, cuts at and
-// inside every frame boundary, a corrupt CRC, and mutations inside the
-// header, chunk index and dictionary regions.
+// FuzzReadBinary drives arbitrary bytes through the replay path. The
+// invariants: no panic, no unbounded allocation, and every record that
+// survives the CRC/validation gauntlet is well-formed. The seed corpus
+// covers a complete file, a partial (no-index) file, cuts at every byte of
+// the magic and at and inside every frame boundary, a corrupt CRC, and
+// mutations inside the header, chunk index and dictionary regions.
 func FuzzReadBinary(f *testing.F) {
 	// Mutation seeds stay small (single chunk) so the fuzzer iterates
 	// fast; one multi-chunk file keeps the index walk covered.
@@ -25,10 +25,10 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(writeBinary(f, nil, true))
 	f.Add(binMagic[:]) // header only
 
-	// Truncations: inside the header, first frame header, first payload,
-	// the index frame and the trailer.
+	// Truncations: inside the magic (0 included), first frame header,
+	// first payload, the index frame and the trailer.
 	for _, cut := range []int{
-		3,
+		0, 1, 2, 3, 4, 5, 6, 7,
 		len(binMagic),
 		len(binMagic) + binFrameHeaderLen - 2,
 		len(binMagic) + binFrameHeaderLen + 40,
@@ -75,20 +75,10 @@ func FuzzReadBinary(f *testing.F) {
 		if err == nil && sum.Complete {
 			// Anything replay calls complete must also scan complete: the
 			// two code paths agree on the completeness trailer.
-			ssum, serr := scanBinaryOrText(input)
+			ssum, serr := binaryScan(bufio.NewReader(bytes.NewReader(input)), nil, nil)
 			if serr != nil || !ssum.Complete || ssum.Traces != sum.Traces {
 				t.Fatalf("scan disagrees with replay: %+v/%v vs %+v", ssum, serr, sum)
 			}
 		}
 	})
-}
-
-// scanBinaryOrText runs the no-decode scan over in-memory bytes (test shim
-// for ScanFile, which wants a path).
-func scanBinaryOrText(input []byte) (Summary, error) {
-	br := bufio.NewReader(bytes.NewReader(input))
-	if magic, _ := br.Peek(8); isBinMagic(magic) {
-		return scanBinary(br)
-	}
-	return Replay(bytes.NewReader(input), func(probe.Trace) {})
 }

@@ -1,13 +1,11 @@
 package tracefile
 
 // stat.go summarises a tracefile's on-disk shape for cmd/tracedump -stat:
-// encoding, record and chunk counts, storage density, and how hard the
-// per-chunk address dictionary works.
+// record and chunk counts, storage density, and how hard the per-chunk
+// address dictionary works.
 
 import (
 	"bufio"
-	"compress/gzip"
-	"fmt"
 	"os"
 
 	"cloudmap/internal/probe"
@@ -15,14 +13,13 @@ import (
 
 // Stats describes one tracefile.
 type Stats struct {
-	Format         string // "text", "gzip", "binary" or "gzip+binary"
-	Bytes          int64  // file size on disk
+	Bytes          int64 // file size on disk
 	Records        int
 	Complete       bool
 	Hops           int64 // total hop slots, unresponsive included
 	ResponsiveHops int64
-	Chunks         int   // binary only
-	DictEntries    int64 // binary only: dictionary entries summed over chunks
+	Chunks         int
+	DictEntries    int64 // dictionary entries summed over chunks
 }
 
 // BytesPerTrace is the storage density.
@@ -35,7 +32,7 @@ func (s Stats) BytesPerTrace() float64 {
 
 // DictHitRate is the share of responsive hop slots served by an existing
 // dictionary entry rather than a fresh one — how much the per-chunk
-// interning actually dedups (binary files only; 0 otherwise).
+// interning actually dedups.
 func (s Stats) DictHitRate() float64 {
 	if s.ResponsiveHops == 0 || s.DictEntries == 0 {
 		return 0
@@ -43,9 +40,8 @@ func (s Stats) DictHitRate() float64 {
 	return 1 - float64(s.DictEntries)/float64(s.ResponsiveHops)
 }
 
-// StatFile reads the tracefile at path once and reports its Stats. All
-// three encodings (and gzip-wrapped binary) are sniffed; partial files
-// report Complete=false, torn ones return ErrTruncated like Replay.
+// StatFile reads the tracefile at path once and reports its Stats. Partial
+// files report Complete=false; torn ones return ErrTruncated like Replay.
 func StatFile(path string) (Stats, error) {
 	var st Stats
 	f, err := os.Open(path)
@@ -56,8 +52,7 @@ func StatFile(path string) (Stats, error) {
 	if fi, err := f.Stat(); err == nil {
 		st.Bytes = fi.Size()
 	}
-
-	count := func(tr probe.Trace) {
+	sum, err := binaryScan(bufio.NewReaderSize(f, 1<<16), func(tr probe.Trace) {
 		st.Records++
 		st.Hops += int64(len(tr.Hops))
 		for _, h := range tr.Hops {
@@ -65,39 +60,7 @@ func StatFile(path string) (Stats, error) {
 				st.ResponsiveHops++
 			}
 		}
-	}
-
-	br := bufio.NewReaderSize(f, 1<<16)
-	magic, _ := br.Peek(8)
-	var sum Summary
-	switch {
-	case len(magic) >= 2 && magic[0] == 0x1f && magic[1] == 0x8b:
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return st, fmt.Errorf("%w: %v", ErrTruncated, err)
-		}
-		zbr := bufio.NewReaderSize(zr, 1<<16)
-		if inner, _ := zbr.Peek(8); isBinMagic(inner) {
-			st.Format = "gzip+binary"
-			sum, err = binaryScan(zbr, count, &st)
-		} else {
-			st.Format = "gzip"
-			sum, err = replay(zbr, count)
-		}
-		if err != nil {
-			return st, err
-		}
-	case isBinMagic(magic):
-		st.Format = "binary"
-		if sum, err = binaryScan(br, count, &st); err != nil {
-			return st, err
-		}
-	default:
-		st.Format = "text"
-		if sum, err = replay(br, count); err != nil {
-			return st, err
-		}
-	}
+	}, &st)
 	st.Complete = sum.Complete
-	return st, nil
+	return st, err
 }

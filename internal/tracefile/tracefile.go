@@ -2,124 +2,62 @@
 // the role scamper's warts files play in the paper's workflow (§3: 16 days
 // of probing are collected once, then analysed many times).
 //
-// Two encodings share one reader surface:
+// There is one encoding, the v2 binary columnar format (binary.go): chunked
+// frames with per-chunk string-interned address dictionaries,
+// varint-delta-encoded destinations, hops and RTTs, CRC32-framed payloads,
+// and a fixed-width chunk index in the footer so a resume can seek straight
+// to chunks (and decode them in parallel). Decoding it is an order of
+// magnitude cheaper than parsing text, which is what makes replay cheaper
+// than the probing it avoids. The index plus trailer is the completeness
+// mark: a file without it is an interrupted campaign.
 //
-//   - The v1 text format, one record per line:
-//
-//     T <cloud>/<region> <dst> <status> <hop>[,<hop>...]
-//
-//     where each hop is either "*" (unresponsive) or "<addr>/<rtt-µs>".
-//     Lines beginning with '#' are comments; the header records a format
-//     version, and a cleanly finished file ends with a "# complete <n>"
-//     trailer so readers can tell a whole campaign from an interrupted one.
-//     Text keeps the files greppable and diffable; the optional gzip layer
-//     (NewGzipWriter, or a ".gz" Create path) compresses them roughly an
-//     order of magnitude. Text survives as the import/export format.
-//
-//   - The v2 binary columnar format (binary.go): chunked frames with
-//     per-chunk string-interned address dictionaries, varint-delta-encoded
-//     destinations, hops and RTTs, CRC32-framed payloads, and a fixed-width
-//     chunk index in the footer so a resume can seek straight to chunks
-//     (and decode them in parallel) instead of scanning one gzip stream.
-//     This is the checkpoint format: decoding it is an order of magnitude
-//     cheaper than parsing text, which is what makes replay cheaper than
-//     the probing it avoids. A ".bin" Create path selects it.
-//
-// Readers sniff text, gzip and binary transparently (Replay/ReplayFile/
-// ScanFile); cmd/tracedump converts between the encodings.
+// cmd/tracedump -cat prints a file one greppable line per record.
 package tracefile
 
 import (
 	"bufio"
-	"compress/gzip"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"cloudmap/internal/netblock"
 	"cloudmap/internal/probe"
 )
 
 // ErrTruncated marks a stream that ended mid-record — typically a checkpoint
-// cut off by a crash before the footer was flushed (a torn gzip stream, or a
-// binary file whose final frame or index is incomplete). Callers detect it
-// with errors.Is and treat the file like a trailer-less (interrupted)
-// checkpoint: re-probe rather than trust it.
+// cut off by a crash before the footer was flushed (a file torn inside its
+// magic, a frame or the index). Callers detect it with errors.Is and treat
+// the file like a trailer-less (interrupted) checkpoint: re-probe rather
+// than trust it.
 var ErrTruncated = errors.New("tracefile: truncated stream")
 
-// version is bumped when the text record layout changes.
-const version = 1
-
-// trailerPrefix introduces the completeness trailer. It parses as a comment,
-// so files carrying it stay readable by older readers.
-const trailerPrefix = "# complete "
-
-// rttMicros converts a hop RTT to the exact microsecond count both formats
-// store. Rounding to nearest (not the old float-multiply truncation) makes
+// rttMicros converts a hop RTT to the exact microsecond count the format
+// stores. Rounding to nearest (not float-multiply truncation) makes
 // encode→decode→encode an identity: the decoded value µs/1000 re-encodes to
 // the same µs.
 func rttMicros(ms float64) int64 { return int64(math.Round(ms * 1000)) }
 
-// appendIP formats ip as a dotted quad without allocating.
-func appendIP(b []byte, ip netblock.IP) []byte {
-	b = strconv.AppendUint(b, uint64(ip>>24), 10)
-	b = append(b, '.')
-	b = strconv.AppendUint(b, uint64(ip>>16&0xff), 10)
-	b = append(b, '.')
-	b = strconv.AppendUint(b, uint64(ip>>8&0xff), 10)
-	b = append(b, '.')
-	b = strconv.AppendUint(b, uint64(ip&0xff), 10)
-	return b
-}
-
-// Writer streams traces to an output in one of the supported encodings.
+// Writer streams traces to an output in the v2 binary format.
 type Writer struct {
-	w   *bufio.Writer
-	gz  *gzip.Writer // non-nil when writing a gzip stream
-	bin *binWriter   // non-nil when writing the v2 binary format
-	buf []byte       // text record assembly buffer, reused across Writes
-	n   int          // records written
+	binWriter
+	n   int // records written
 	err error
 }
 
-// NewWriter writes the text header and returns a Writer. Callers must Flush
-// (or Finish, which also writes the completeness trailer).
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# cloudmap tracefile v%d\n", version); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
-}
-
-// NewGzipWriter layers the text stream over gzip. Callers must Close (or
-// Finish) to flush the gzip footer; Flush alone leaves a syncable but
-// unterminated stream.
-func NewGzipWriter(w io.Writer) (*Writer, error) {
-	gz := gzip.NewWriter(w)
-	tw, err := NewWriter(gz)
-	if err != nil {
-		return nil, err
-	}
-	tw.gz = gz
-	return tw, nil
-}
-
-// NewBinaryWriter writes the v2 binary header and returns a Writer in
-// binary mode. Finish writes the chunk index and CRC-framed trailer that
-// mark the file complete; Close without Finish leaves a loadable partial
-// file (whole chunks only, no index).
-func NewBinaryWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	bin, err := newBinWriter(bw)
-	if err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw, bin: bin}, nil
+// NewWriter writes the v2 header and returns a Writer. Finish writes the
+// chunk index and CRC-framed trailer that mark the output complete; Flush
+// without Finish leaves a loadable partial stream (whole chunks only, no
+// index).
+func NewWriter(w io.Writer) *Writer {
+	out := bufio.NewWriterSize(w, 1<<16)
+	out.Write(binMagic[:]) // buffered: a write error sticks and Flush reports it
+	return &Writer{binWriter: binWriter{
+		out:    out,
+		off:    uint64(len(binMagic)),
+		dict:   make(map[netblock.IP]uint32, binChunkRecords),
+		clouds: make(map[string]uint32, 8),
+	}}
 }
 
 // Write appends one trace. The first error sticks and is returned by Flush.
@@ -127,41 +65,7 @@ func (w *Writer) Write(tr probe.Trace) {
 	if w.err != nil {
 		return
 	}
-	if w.bin != nil {
-		if w.err = w.bin.encode(tr); w.err == nil {
-			w.n++
-		}
-		return
-	}
-	b := append(w.buf[:0], 'T', ' ')
-	b = append(b, tr.Src.Cloud...)
-	b = append(b, '/')
-	b = strconv.AppendInt(b, int64(tr.Src.Region), 10)
-	b = append(b, ' ')
-	b = appendIP(b, tr.Dst)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, int64(tr.Status), 10)
-	b = append(b, ' ')
-	for i, h := range tr.Hops {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		if !h.Responsive() {
-			b = append(b, '*')
-			continue
-		}
-		us := rttMicros(h.RTTms)
-		if us < 0 {
-			w.err = fmt.Errorf("tracefile: negative RTT %v on hop %s", h.RTTms, h.Addr)
-			return
-		}
-		b = appendIP(b, h.Addr)
-		b = append(b, '/')
-		b = strconv.AppendInt(b, us, 10)
-	}
-	b = append(b, '\n')
-	w.buf = b
-	if _, w.err = w.w.Write(b); w.err == nil {
+	if w.err = w.encode(tr); w.err == nil {
 		w.n++
 	}
 }
@@ -169,69 +73,27 @@ func (w *Writer) Write(tr probe.Trace) {
 // Count reports the number of records written so far.
 func (w *Writer) Count() int { return w.n }
 
-// Flush drains buffers and reports the first write error. On a gzip stream
-// it emits a sync block so everything written so far is decodable, without
-// terminating the stream; on a binary stream it frames the current partial
-// chunk for the same guarantee.
+// Flush frames the current partial chunk and drains the buffer, so
+// everything written so far is decodable, and reports the first write
+// error.
 func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
+	if w.err == nil {
+		w.err = w.flushChunk()
 	}
-	if w.bin != nil {
-		if err := w.bin.flushChunk(); err != nil {
-			w.err = err
-			return err
-		}
+	if w.err == nil {
+		w.err = w.out.Flush()
 	}
-	if err := w.w.Flush(); err != nil {
-		w.err = err
-		return err
-	}
-	if w.gz != nil {
-		if err := w.gz.Flush(); err != nil {
-			w.err = err
-			return err
-		}
-	}
-	return nil
+	return w.err
 }
 
-// Finish writes the completeness trailer and flushes. A file without the
-// trailer replays fine but reports Complete == false — the mark of an
-// interrupted campaign. For text that trailer is the "# complete <n>"
-// comment; for binary it is the chunk index plus the CRC-framed footer.
+// Finish writes the chunk index and trailer, then flushes. A stream
+// without them replays fine but reports Complete == false — the mark of an
+// interrupted campaign.
 func (w *Writer) Finish() error {
-	if w.err != nil {
-		return w.err
+	if w.err == nil {
+		w.err = w.finish()
 	}
-	if w.bin != nil {
-		if err := w.bin.finish(); err != nil {
-			w.err = err
-			return err
-		}
-		return w.Close()
-	}
-	if _, err := fmt.Fprintf(w.w, "%s%d\n", trailerPrefix, w.n); err != nil {
-		w.err = err
-		return err
-	}
-	return w.Close()
-}
-
-// Close flushes and, for gzip streams, writes the gzip footer. It does not
-// close the underlying io.Writer.
-func (w *Writer) Close() error {
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if w.gz != nil {
-		if err := w.gz.Close(); err != nil {
-			w.err = err
-			return err
-		}
-		w.gz = nil
-	}
-	return nil
+	return w.Flush()
 }
 
 // FileWriter couples a Writer to the file backing it.
@@ -242,51 +104,34 @@ type FileWriter struct {
 }
 
 // Create opens path for writing (truncating any previous content) and
-// returns a FileWriter; a ".bin" suffix selects the v2 binary format, a
-// ".gz" suffix the gzip text layer, anything else plain text. Callers end
-// the file with Finish (complete) or Close (partial but loadable).
+// returns a FileWriter. Callers end the file with Finish (complete) or
+// Close (partial but loadable).
 func Create(path string) (*FileWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	var w *Writer
-	switch {
-	case strings.HasSuffix(path, ".bin"):
-		w, err = NewBinaryWriter(f)
-	case strings.HasSuffix(path, ".gz"):
-		w, err = NewGzipWriter(f)
-	default:
-		w, err = NewWriter(f)
-	}
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &FileWriter{Writer: w, f: f}, nil
+	return &FileWriter{Writer: NewWriter(f), f: f}, nil
 }
 
 // Finish writes the completeness trailer and closes the file.
 func (fw *FileWriter) Finish() error {
-	if fw.closed {
-		return fw.err
-	}
-	fw.closed = true
-	err := fw.Writer.Finish()
-	if cerr := fw.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return fw.end(fw.Writer.Finish)
 }
 
 // Close flushes what was written and closes the file without the trailer:
-// the file replays but scans as incomplete. Safe to call after Finish.
+// the file replays but scans as incomplete. Safe to call more than once and
+// after Finish.
 func (fw *FileWriter) Close() error {
+	return fw.end(fw.Writer.Flush)
+}
+
+func (fw *FileWriter) end(flush func() error) error {
 	if fw.closed {
 		return fw.err
 	}
 	fw.closed = true
-	err := fw.Writer.Close()
+	err := flush()
 	if cerr := fw.f.Close(); err == nil {
 		err = cerr
 	}
@@ -312,47 +157,17 @@ func Tee(sinks ...probe.TraceSink) probe.TraceSink {
 type Summary struct {
 	// Traces is the number of records delivered.
 	Traces int
-	// Complete reports whether the stream ended with a matching
-	// completeness trailer (an uninterrupted campaign).
+	// Complete reports whether the stream ended with a valid chunk index
+	// and trailer (an uninterrupted campaign).
 	Complete bool
 }
 
-// Read replays every trace in the input into sink. It validates the header
-// and fails on the first malformed record, reporting its line number.
-func Read(r io.Reader, sink probe.TraceSink) error {
-	_, err := Replay(r, sink)
-	return err
-}
-
 // Replay replays every trace in the input into sink and reports a Summary.
-// It sniffs the encoding — v1 text, gzip-compressed text, or v2 binary —
-// from the leading magic bytes, and reports whether the stream carried a
-// valid completeness trailer.
+// Input that does not start with the v2 magic is rejected as not a
+// tracefile; input that stops inside the magic (an empty file included) or
+// inside a frame is ErrTruncated.
 func Replay(r io.Reader, sink probe.TraceSink) (Summary, error) {
-	return replaySniff(bufio.NewReaderSize(r, 1<<16), sink)
-}
-
-func replaySniff(br *bufio.Reader, sink probe.TraceSink) (Summary, error) {
-	magic, _ := br.Peek(8)
-	if len(magic) >= 2 && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return Summary{}, fmt.Errorf("%w: gzip header cut short: %w", ErrTruncated, err)
-			}
-			return Summary{}, fmt.Errorf("tracefile: gzip: %w", err)
-		}
-		defer zr.Close()
-		zbr := bufio.NewReaderSize(zr, 1<<16)
-		if inner, _ := zbr.Peek(8); isBinMagic(inner) {
-			return replayBinary(zbr, sink)
-		}
-		return replay(zbr, sink)
-	}
-	if isBinMagic(magic) {
-		return replayBinary(br, sink)
-	}
-	return replay(br, sink)
+	return binaryScan(bufio.NewReaderSize(r, 1<<16), sink, nil)
 }
 
 // ReplayFile replays the tracefile at path. The open error is returned
@@ -368,127 +183,13 @@ func ReplayFile(path string, sink probe.TraceSink) (Summary, error) {
 
 // ScanFile validates the tracefile at path without delivering its traces —
 // the cheap completeness probe resume logic runs before deciding to replay.
-// For binary files this verifies frame CRCs and the chunk index without
-// decoding any record, so scanning costs I/O plus a checksum, not a parse.
+// It verifies frame CRCs and the chunk index without decoding any record,
+// so scanning costs I/O plus a checksum, not a parse.
 func ScanFile(path string) (Summary, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return Summary{}, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	if magic, _ := br.Peek(8); isBinMagic(magic) {
-		return scanBinary(br)
-	}
-	return replaySniff(br, func(probe.Trace) {})
-}
-
-func replay(r io.Reader, sink probe.TraceSink) (Summary, error) {
-	var sum Summary
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	line := 0
-	sawHeader := false
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if strings.HasPrefix(text, "#") {
-			if !sawHeader {
-				if !strings.Contains(text, "cloudmap tracefile") {
-					return sum, fmt.Errorf("tracefile: line %d: not a tracefile header", line)
-				}
-				sawHeader = true
-				continue
-			}
-			if rest, ok := strings.CutPrefix(text, trailerPrefix); ok {
-				n, err := strconv.Atoi(strings.TrimSpace(rest))
-				if err != nil {
-					return sum, fmt.Errorf("tracefile: line %d: malformed trailer %q", line, text)
-				}
-				if n != sum.Traces {
-					return sum, fmt.Errorf("tracefile: line %d: trailer claims %d traces, read %d", line, n, sum.Traces)
-				}
-				sum.Complete = true
-			}
-			continue
-		}
-		if strings.TrimSpace(text) == "" {
-			continue
-		}
-		if sum.Complete {
-			return sum, fmt.Errorf("tracefile: line %d: record after completeness trailer", line)
-		}
-		tr, err := parseRecord(text)
-		if err != nil {
-			// A reader error (set before the scanner yields its partial
-			// final token) means the "malformed" record is really the stump
-			// of a truncated stream — diagnose the truncation, not the stump.
-			if rerr := sc.Err(); rerr != nil && errors.Is(rerr, io.ErrUnexpectedEOF) {
-				return sum, fmt.Errorf("%w: input ended after %d traces, mid-record: %w", ErrTruncated, sum.Traces, rerr)
-			}
-			return sum, fmt.Errorf("tracefile: line %d: %w", line, err)
-		}
-		sink(tr)
-		sum.Traces++
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			// A gzip (or raw) stream that stops mid-record: diagnose it as
-			// a truncated checkpoint instead of surfacing a bare EOF.
-			return sum, fmt.Errorf("%w: input ended after %d traces, mid-record: %w", ErrTruncated, sum.Traces, err)
-		}
-		return sum, fmt.Errorf("tracefile: %w", err)
-	}
-	if !sawHeader && line > 0 {
-		return sum, fmt.Errorf("tracefile: missing header")
-	}
-	return sum, nil
-}
-
-func parseRecord(text string) (probe.Trace, error) {
-	var tr probe.Trace
-	fields := strings.Fields(text)
-	if len(fields) < 4 || fields[0] != "T" {
-		return tr, fmt.Errorf("malformed record %q", text)
-	}
-	slash := strings.LastIndexByte(fields[1], '/')
-	if slash < 0 {
-		return tr, fmt.Errorf("malformed source %q", fields[1])
-	}
-	region, err := strconv.Atoi(fields[1][slash+1:])
-	if err != nil || region < 0 {
-		return tr, fmt.Errorf("malformed region in %q", fields[1])
-	}
-	tr.Src = probe.VMRef{Cloud: fields[1][:slash], Region: region}
-	if tr.Dst, err = netblock.ParseIP(fields[2]); err != nil {
-		return tr, err
-	}
-	status, err := strconv.Atoi(fields[3])
-	if err != nil || status < 0 || status > int(probe.StatusLoop) {
-		return tr, fmt.Errorf("bad status %q", fields[3])
-	}
-	tr.Status = probe.Status(status)
-	if len(fields) < 5 {
-		return tr, nil // zero-hop trace
-	}
-	for _, hop := range strings.Split(fields[4], ",") {
-		if hop == "*" {
-			tr.Hops = append(tr.Hops, probe.Hop{})
-			continue
-		}
-		hs := strings.SplitN(hop, "/", 2)
-		if len(hs) != 2 {
-			return tr, fmt.Errorf("malformed hop %q", hop)
-		}
-		addr, err := netblock.ParseIP(hs[0])
-		if err != nil {
-			return tr, err
-		}
-		us, err := strconv.ParseInt(hs[1], 10, 64)
-		if err != nil || us < 0 {
-			return tr, fmt.Errorf("malformed hop RTT %q", hop)
-		}
-		tr.Hops = append(tr.Hops, probe.Hop{Addr: addr, RTTms: float64(us) / 1000})
-	}
-	return tr, nil
+	return binaryScan(bufio.NewReaderSize(f, 1<<16), nil, nil)
 }

@@ -2,12 +2,13 @@ package tracefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -38,10 +39,7 @@ func sample() []probe.Trace {
 
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter(&buf)
 	in := sample()
 	for _, tr := range in {
 		w.Write(tr)
@@ -51,7 +49,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	var out []probe.Trace
-	if err := Read(&buf, func(tr probe.Trace) { out = append(out, tr) }); err != nil {
+	if _, err := Replay(&buf, func(tr probe.Trace) { out = append(out, tr) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != len(in) {
@@ -90,16 +88,13 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
+		w := NewWriter(&buf)
 		w.Write(tr)
 		if err := w.Flush(); err != nil {
 			return false
 		}
 		var got []probe.Trace
-		if err := Read(&buf, func(tr probe.Trace) { got = append(got, tr) }); err != nil {
+		if _, err := Replay(&buf, func(tr probe.Trace) { got = append(got, tr) }); err != nil {
 			return false
 		}
 		if len(got) != 1 {
@@ -124,26 +119,42 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestReadRejectsGarbage: input that does not start with the v2 magic is
+// refused as foreign — not diagnosed as a torn checkpoint — and so is a
+// file whose frames are well-formed but whose content is not.
 func TestReadRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"not a tracefile\n",
-		"# cloudmap tracefile v1\nT bogus\n",
-		"# cloudmap tracefile v1\nT amazon/x 1.2.3.4 0 *\n",
-		"# cloudmap tracefile v1\nT amazon/0 1.2.3.999 0 *\n",
-		"# cloudmap tracefile v1\nT amazon/0 1.2.3.4 9 *\n",
-		"# cloudmap tracefile v1\nT amazon/0 1.2.3.4 0 1.2.3.4\n",
-		"# cloudmap tracefile v1\nT amazon/0 1.2.3.4 0 1.2.3.4/-5\n",
+	whole := writeBinary(t, sample(), true)
+	// Frame type 0x7f, empty payload (whose CRC is 0), record count 1.
+	unknownFrame := append(append([]byte(nil), binMagic[:]...), 0x7f, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+	foreign := map[string][]byte{
+		"text":           []byte("not a tracefile\n"),
+		"short":          []byte("CMX"),
+		"v1 text":        []byte("# cloudmap tracefile v1\nT amazon/0 1.2.3.4 0 *\n# complete 1\n"),
+		"gzip":           {0x1f, 0x8b, 0x08, 0, 0, 0, 0, 0, 0, 0xff},
+		"magic off by 1": append([]byte{'X'}, whole[1:]...),
+		"v3 magic":       append([]byte("CMTF3\x00\xbe\n"), whole[len(binMagic):]...),
+		"unknown frame":  unknownFrame,
 	}
-	for _, c := range cases {
-		if err := Read(strings.NewReader(c), func(probe.Trace) {}); err == nil {
-			t.Errorf("accepted garbage: %q", c)
+	for name, in := range foreign {
+		_, err := Replay(bytes.NewReader(in), func(probe.Trace) { t.Errorf("%s: delivered a trace", name) })
+		if err == nil {
+			t.Errorf("%s: accepted garbage", name)
+		} else if errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: garbage diagnosed as truncation: %v", name, err)
 		}
 	}
-	// Comments and blank lines are fine.
-	ok := "# cloudmap tracefile v1\n\n# comment\nT amazon/0 1.2.3.4 0 *\n"
-	n := 0
-	if err := Read(strings.NewReader(ok), func(probe.Trace) { n++ }); err != nil || n != 1 {
-		t.Errorf("rejected valid file: %v (n=%d)", err, n)
+
+	// A chunk whose CRC holds but whose one record carries an out-of-range
+	// status byte is refused, not delivered.
+	payload := []byte{1, 1, 'a', 0, 0, 0, 0, 0, byte(probe.StatusLoop) + 1, 0}
+	chunk := append([]byte(nil), binMagic[:]...)
+	chunk = append(chunk, binFrameChunk)
+	chunk = binary.LittleEndian.AppendUint32(chunk, uint32(len(payload)))
+	chunk = binary.LittleEndian.AppendUint32(chunk, 1)
+	chunk = binary.LittleEndian.AppendUint32(chunk, crc32.ChecksumIEEE(payload))
+	chunk = append(chunk, payload...)
+	if _, err := Replay(bytes.NewReader(chunk), func(probe.Trace) {}); err == nil || errors.Is(err, ErrTruncated) {
+		t.Errorf("malformed chunk: err = %v, want a non-truncation error", err)
 	}
 }
 
@@ -157,52 +168,18 @@ func TestTee(t *testing.T) {
 	}
 }
 
+// TestEmptyFile: a 0-byte file is a checkpoint whose header never reached
+// disk — torn, so resume re-probes — not an empty campaign.
 func TestEmptyFile(t *testing.T) {
-	if err := Read(strings.NewReader(""), func(probe.Trace) {}); err != nil {
-		t.Fatalf("empty input rejected: %v", err)
-	}
-}
-
-func TestGzipRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewGzipWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := sample()
-	for _, tr := range in {
-		w.Write(tr)
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 || buf.Bytes()[0] != 0x1f || buf.Bytes()[1] != 0x8b {
-		t.Fatal("output is not a gzip stream")
-	}
-
-	// Replay sniffs the magic bytes; no caller-side decompression needed.
-	var out []probe.Trace
-	sum, err := Replay(&buf, func(tr probe.Trace) { out = append(out, tr) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) || sum.Traces != len(in) || !sum.Complete {
-		t.Fatalf("replay: %d traces, summary %+v", len(out), sum)
-	}
-	for i := range in {
-		if in[i].Src != out[i].Src || in[i].Dst != out[i].Dst || len(in[i].Hops) != len(out[i].Hops) {
-			t.Fatalf("trace %d differs after gzip round trip", i)
-		}
+	if _, err := Replay(bytes.NewReader(nil), func(probe.Trace) {}); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("empty input: err = %v, want ErrTruncated", err)
 	}
 }
 
 func TestTrailerCompleteness(t *testing.T) {
 	// Finish marks the stream complete.
 	var done bytes.Buffer
-	w, err := NewWriter(&done)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter(&done)
 	for _, tr := range sample() {
 		w.Write(tr)
 	}
@@ -219,10 +196,7 @@ func TestTrailerCompleteness(t *testing.T) {
 
 	// Flush without Finish leaves a loadable but incomplete stream.
 	var partial bytes.Buffer
-	w2, err := NewWriter(&partial)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w2 := NewWriter(&partial)
 	w2.Write(sample()[0])
 	if err := w2.Flush(); err != nil {
 		t.Fatal(err)
@@ -232,13 +206,19 @@ func TestTrailerCompleteness(t *testing.T) {
 		t.Fatalf("partial stream: %+v, %v", sum, err)
 	}
 
-	// A lying trailer is rejected, as is a record after the trailer.
-	bad := "# cloudmap tracefile v1\nT amazon/0 1.2.3.4 0 *\n# complete 5\n"
-	if _, err := Replay(strings.NewReader(bad), func(probe.Trace) {}); err == nil {
-		t.Error("mismatched trailer count accepted")
+	// An index whose trace total lies (CRC recomputed, so the frame is
+	// intact) is rejected, as is a record frame after the trailer.
+	raw := done.Bytes()
+	indexOff := int(binary.LittleEndian.Uint64(raw[len(raw)-binTrailerLen:]))
+	lying := append([]byte(nil), raw...)
+	ip := lying[indexOff+binFrameHeaderLen : len(lying)-binTrailerLen]
+	binary.LittleEndian.PutUint64(ip[len(ip)-8:], 5)
+	binary.LittleEndian.PutUint32(lying[indexOff+9:], crc32.ChecksumIEEE(ip))
+	if _, err := Replay(bytes.NewReader(lying), func(probe.Trace) {}); err == nil {
+		t.Error("mismatched index total accepted")
 	}
-	late := "# cloudmap tracefile v1\nT amazon/0 1.2.3.4 0 *\n# complete 1\nT amazon/0 1.2.3.5 0 *\n"
-	if _, err := Replay(strings.NewReader(late), func(probe.Trace) {}); err == nil {
+	late := append(append([]byte(nil), raw...), partial.Bytes()[len(binMagic):]...)
+	if _, err := Replay(bytes.NewReader(late), func(probe.Trace) {}); err == nil {
 		t.Error("record after trailer accepted")
 	}
 }
@@ -246,9 +226,9 @@ func TestTrailerCompleteness(t *testing.T) {
 func TestFileHelpers(t *testing.T) {
 	dir := t.TempDir()
 
-	// A ".gz" path selects the gzip layer transparently.
-	gzPath := filepath.Join(dir, "campaign.traces.gz")
-	fw, err := Create(gzPath)
+	// Create writes v2 whatever the extension.
+	path := filepath.Join(dir, "campaign.traces.gz")
+	fw, err := Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,17 +238,24 @@ func TestFileHelpers(t *testing.T) {
 	if err := fw.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := ScanFile(gzPath)
+	if err := fw.Close(); err != nil { // after Finish: a no-op
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil || !bytes.HasPrefix(raw, binMagic[:]) {
+		t.Fatalf("created file is not v2: %v", err)
+	}
+	sum, err := ScanFile(path)
 	if err != nil || !sum.Complete || sum.Traces != 2 {
 		t.Fatalf("scan: %+v, %v", sum, err)
 	}
 	n := 0
-	if _, err := ReplayFile(gzPath, func(probe.Trace) { n++ }); err != nil || n != 2 {
+	if _, err := ReplayFile(path, func(probe.Trace) { n++ }); err != nil || n != 2 {
 		t.Fatalf("replay delivered %d traces: %v", n, err)
 	}
 
 	// Close without Finish: loadable partial checkpoint.
-	partPath := filepath.Join(dir, "partial.traces.gz")
+	partPath := filepath.Join(dir, "partial.traces")
 	pw, err := Create(partPath)
 	if err != nil {
 		t.Fatal(err)
@@ -285,23 +272,15 @@ func TestFileHelpers(t *testing.T) {
 		t.Fatalf("partial scan: %+v, %v", sum, err)
 	}
 
-	// Plain (non-gz) path still works through the same helpers.
-	plainPath := filepath.Join(dir, "plain.traces")
-	pl, err := Create(plainPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.Write(sample()[1])
-	if err := pl.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(plainPath)
-	if err != nil || !strings.HasPrefix(string(raw), "# cloudmap tracefile") {
-		t.Fatalf("plain file not textual: %v %q", err, raw)
-	}
-
 	// Missing files surface fs.ErrNotExist for resume logic.
-	if _, err := ScanFile(filepath.Join(dir, "missing.traces.gz")); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("missing file error = %v", err)
+	missing := filepath.Join(dir, "missing.traces.bin")
+	if _, err := ScanFile(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing file scan error = %v", err)
+	}
+	if _, err := ReplayFile(missing, func(probe.Trace) {}); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing file replay error = %v", err)
+	}
+	if _, err := StatFile(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing file stat error = %v", err)
 	}
 }

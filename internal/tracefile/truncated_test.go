@@ -3,87 +3,20 @@ package tracefile
 import (
 	"bytes"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"cloudmap/internal/netblock"
 	"cloudmap/internal/probe"
 )
 
-func sampleTraces(n int) []probe.Trace {
-	out := make([]probe.Trace, n)
-	for i := range out {
-		out[i] = probe.Trace{
-			Src:    probe.VMRef{Cloud: "amazon", Region: i % 3},
-			Dst:    netblock.IP(0x0a000001 + uint32(i)),
-			Status: probe.StatusCompleted,
-			Hops: []probe.Hop{
-				{Addr: netblock.IP(0x0a0000ff + uint32(i)), RTTms: 1.25},
-				{},
-				{Addr: netblock.IP(0x0a000001 + uint32(i)), RTTms: 2.5},
-			},
-		}
-	}
-	return out
-}
-
-// wholeGzipFile writes a complete gzip checkpoint and returns its bytes.
-func wholeGzipFile(t *testing.T, n int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewGzipWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range sampleTraces(n) {
-		w.Write(tr)
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestTruncatedGzipDiagnosed: a gzip checkpoint cut mid-stream must return
-// an error that (a) matches ErrTruncated, (b) preserves the underlying
-// io.ErrUnexpectedEOF in its chain, and (c) says what happened — not a bare
-// "unexpected EOF".
-func TestTruncatedGzipDiagnosed(t *testing.T) {
-	whole := wholeGzipFile(t, 50)
-	cuts := map[string]int{
-		"header": 4,
-		"middle": len(whole) / 2,
-		"footer": len(whole) - 5,
-	}
-	for name, cut := range cuts {
-		t.Run(name, func(t *testing.T) {
-			_, err := Replay(bytes.NewReader(whole[:cut]), func(probe.Trace) {})
-			if err == nil {
-				t.Fatalf("truncated-at-%s stream replayed without error", name)
-			}
-			if !errors.Is(err, ErrTruncated) {
-				t.Fatalf("error %q does not match ErrTruncated", err)
-			}
-			if !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Fatalf("error %q lost the underlying io.ErrUnexpectedEOF", err)
-			}
-			if !strings.Contains(err.Error(), "truncated") {
-				t.Fatalf("error %q does not diagnose truncation", err)
-			}
-		})
-	}
-}
-
-// TestTruncatedGzipKeepsPrefix: records before the cut are still delivered,
-// so a truncated checkpoint is a usable partial campaign.
-func TestTruncatedGzipKeepsPrefix(t *testing.T) {
-	whole := wholeGzipFile(t, 200)
+// TestTruncatedKeepsPrefix: records in the chunks before the cut are still
+// delivered, so a truncated checkpoint is a usable partial campaign.
+func TestTruncatedKeepsPrefix(t *testing.T) {
+	whole := writeBinary(t, synthTraces(3*binChunkRecords), true)
 	got := 0
 	sum, err := Replay(bytes.NewReader(whole[:len(whole)*3/4]), func(probe.Trace) { got++ })
-	if err == nil || !errors.Is(err, ErrTruncated) {
+	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", err)
 	}
 	if got == 0 || sum.Traces != got {
@@ -95,15 +28,21 @@ func TestTruncatedGzipKeepsPrefix(t *testing.T) {
 }
 
 // TestScanFileTruncated: the completeness probe surfaces the same
-// diagnosable error for an on-disk truncated checkpoint.
+// diagnosable error for an on-disk truncated checkpoint, whether it was
+// torn mid-frame or inside its magic.
 func TestScanFileTruncated(t *testing.T) {
-	whole := wholeGzipFile(t, 50)
-	path := filepath.Join(t.TempDir(), "campaign.traces.gz")
-	if err := os.WriteFile(path, whole[:len(whole)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ScanFile(path); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("ScanFile on truncated checkpoint: %v, want ErrTruncated", err)
+	whole := writeBinary(t, synthTraces(50), true)
+	path := filepath.Join(t.TempDir(), "campaign.traces.bin")
+	for _, cut := range []int{len(whole) / 2, 3, 0} {
+		if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ScanFile(path); !errors.Is(err, ErrTruncated) {
+			t.Errorf("ScanFile on checkpoint cut at %d: %v, want ErrTruncated", cut, err)
+		}
+		if _, err := StatFile(path); !errors.Is(err, ErrTruncated) {
+			t.Errorf("StatFile on checkpoint cut at %d: %v, want ErrTruncated", cut, err)
+		}
 	}
 
 	// An intact file still scans complete.

@@ -278,9 +278,10 @@ func TestConfigHashStability(t *testing.T) {
 }
 
 // TestTornBinaryCheckpointReprobes is the binary-format crash-chaos leg: a
-// checkpoint cut mid-frame (the file a SIGKILLed run leaves behind) must
-// degrade to live re-probing through the checkpoint-truncated path, exactly
-// like torn gzip text, and the re-probed run must match an uninterrupted one.
+// checkpoint cut mid-frame, or inside its 8-byte magic (the file a SIGKILLed
+// run leaves behind), must degrade to live re-probing through the
+// checkpoint-truncated path, and the re-probed run must match an
+// uninterrupted one.
 func TestTornBinaryCheckpointReprobes(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Topology.Seed = 7
@@ -293,41 +294,49 @@ func TestTornBinaryCheckpointReprobes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tear the file mid-frame: drop the trailer plus a few payload bytes so
-	// neither the index nor a clean chunk boundary survives.
-	if err := os.WriteFile(path, raw[:len(raw)-40], 0o644); err != nil {
+	ref, err := Run(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tracefile.ScanFile(path); !errors.Is(err, tracefile.ErrTruncated) {
-		t.Fatalf("torn checkpoint scan = %v, want ErrTruncated", err)
+	cuts := map[string]int{
+		// Drop the trailer plus a few payload bytes so neither the index
+		// nor a clean chunk boundary survives.
+		"mid-frame": len(raw) - 40,
+		"header":    3,
 	}
+	for name, cut := range cuts {
+		t.Run(name, func(t *testing.T) {
+			if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tracefile.ScanFile(path); !errors.Is(err, tracefile.ErrTruncated) {
+				t.Fatalf("torn checkpoint scan = %v, want ErrTruncated", err)
+			}
 
-	cfg2 := SmallConfig()
-	cfg2.Topology.Seed = 7
-	res, rep, err := RunPipeline(context.Background(), nil, cfg2, RunOptions{CheckpointDir: dir, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range rep.Manifest.Stages {
-		if st.Name == "campaign" {
-			if st.Status != pipeline.StatusOK {
-				t.Fatalf("campaign over a torn checkpoint: status %q, want re-probed ok", st.Status)
+			cfg2 := SmallConfig()
+			cfg2.Topology.Seed = 7
+			res, rep, err := RunPipeline(context.Background(), nil, cfg2, RunOptions{CheckpointDir: dir, Resume: true})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if st.Counters["checkpoint-truncated"] != 1 {
-				t.Errorf("truncation not recorded: %+v", st.Counters)
+			for _, st := range rep.Manifest.Stages {
+				if st.Name == "campaign" {
+					if st.Status != pipeline.StatusOK {
+						t.Fatalf("campaign over a torn checkpoint: status %q, want re-probed ok", st.Status)
+					}
+					if st.Counters["checkpoint-truncated"] != 1 {
+						t.Errorf("truncation not recorded: %+v", st.Counters)
+					}
+				}
 			}
-		}
-	}
-	ref, err := Run(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report() != ref.Report() {
-		t.Fatal("re-probed run diverged from an uninterrupted run")
-	}
-	// The re-probe overwrote the torn file with a complete checkpoint.
-	if sum, err := tracefile.ScanFile(path); err != nil || !sum.Complete {
-		t.Fatalf("checkpoint not healed after re-probe: %+v, %v", sum, err)
+			if res.Report() != ref.Report() {
+				t.Fatal("re-probed run diverged from an uninterrupted run")
+			}
+			// The re-probe overwrote the torn file with a complete checkpoint.
+			if sum, err := tracefile.ScanFile(path); err != nil || !sum.Complete {
+				t.Fatalf("checkpoint not healed after re-probe: %+v, %v", sum, err)
+			}
+		})
 	}
 }
 
