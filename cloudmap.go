@@ -87,8 +87,9 @@ type Config struct {
 	// RecordTraces, when non-nil, receives every Amazon-campaign traceroute
 	// (rounds 1 and 2) — wire it to a tracefile.Writer to archive the
 	// campaign for later replay. The trace is passed through, not copied:
-	// tr.Hops shares the campaign's hop arena, which may be recycled once
-	// the sink returns, so the sink must not keep tr.Hops after it returns
+	// tr.Hops shares the campaign's hop arena. As for any probe.TraceSink,
+	// the hops stay valid after the sink returns, so the sink may keep
+	// the trace, but it must not write through tr.Hops
 	// (tracefile.Writer encodes each trace on the spot and keeps nothing).
 	RecordTraces probe.TraceSink
 }

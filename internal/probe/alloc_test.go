@@ -7,6 +7,7 @@ package probe
 
 import (
 	"context"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -59,4 +60,45 @@ func TestRunChunkObsAllocs(t *testing.T) {
 	if limit := float64(len(targets)) / 50; perChunk > limit {
 		t.Fatalf("RunChunkObs allocates %.0f times for %d targets, want at most %.0f", perChunk, len(targets), limit)
 	}
+}
+
+// TestCampaignReusesTraceBatches: a campaign recycles its chunks' []Trace
+// batches through a free list, so past the first few chunks a chunk
+// allocates its hop arena and little else. Running the same chunks one by
+// one through RunChunkObs allocates a fresh 1024-trace batch for each (and
+// resolves each chunk's targets again); the campaign must save at least
+// 40 KB of every chunk.
+func TestCampaignReusesTraceBatches(t *testing.T) {
+	tp, p := newProber(t)
+	targets := Round1Targets(tp, Round1Options{})[:16*campaignChunk]
+	vms := p.VMs("amazon")[:2]
+	chunks := ChunkCampaign(vms, targets)
+	pol := RetryPolicy{MaxAttempts: 1}
+	ctx := context.Background()
+	campaign := allocatedBytes(func() {
+		if _, err := p.CampaignRetryCtx(ctx, vms, targets, 2, pol, 0, func(Trace) {}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	oneByOne := allocatedBytes(func() {
+		for _, wc := range chunks {
+			if _, _, err := p.RunChunkObs(ctx, nil, nil, wc, targets[wc.From:wc.To], pol, 0, -1, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	saved := (float64(oneByOne) - float64(campaign)) / float64(len(chunks))
+	if saved < 40<<10 {
+		t.Fatalf("campaign allocates %.0f KB per chunk, RunChunkObs one by one %.0f KB: saved %.1f KB, want at least 40",
+			float64(campaign)/float64(len(chunks))/1024, float64(oneByOne)/float64(len(chunks))/1024, saved/1024)
+	}
+}
+
+// allocatedBytes returns the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

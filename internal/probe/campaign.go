@@ -73,7 +73,10 @@ func ExpansionTargets(cbis []netblock.IP) []netblock.IP {
 
 // TraceSink consumes traceroutes as they are produced; campaigns stream
 // rather than accumulate (the paper's round 1 produces hundreds of millions
-// of hops).
+// of hops). A sink receives each Trace by value and may keep it: its Hops
+// stay valid after the sink returns, because hop arenas are never
+// recycled. The hops are shared with neighbouring traces, so a sink must
+// not write through them.
 type TraceSink func(Trace)
 
 // Campaign probes every target from every VM, serially and with the fault

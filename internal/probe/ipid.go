@@ -31,10 +31,13 @@ func (p *Prober) pathInfo(vm route.VM, addr netblock.IP) pingInfo {
 		return info
 	}
 	p.cacheMu.Unlock()
-	// Compute outside the lock: Trace is pure, and a duplicate computation
-	// under contention yields the identical value.
-	path := p.f.Trace(vm, addr)
-	info := pingInfo{ok: path.DstResponds, iface: path.DstIface, rtt: path.DstRTT}
+	// Compute outside the lock: path computation is pure, and a duplicate
+	// computation under contention yields the identical value. The path
+	// lives in pooled tracer scratch; only its destination fields are kept.
+	sc := p.tracers.Get().(*tracer)
+	p.f.TraceInto(&sc.path, vm, p.f.Dest(addr), 0)
+	info := pingInfo{ok: sc.path.DstResponds, iface: sc.path.DstIface, rtt: sc.path.DstRTT}
+	p.tracers.Put(sc)
 	p.cacheMu.Lock()
 	if p.pingCache == nil {
 		p.pingCache = make(map[pingKey]pingInfo)

@@ -224,7 +224,7 @@ func (p *Prober) TracerouteAt(ref VMRef, dst netblock.IP, tSec float64) (Trace, 
 	sc := p.tracers.Get().(*tracer)
 	var status Status
 	var st AttemptStats
-	sc.hops, status, st = p.synthesize(sc.hops, &sc.path, vm, dst, tSec)
+	sc.hops, status, st = p.synthesize(sc.hops, &sc.path, vm, p.f.Dest(dst), tSec)
 	tr := Trace{Src: ref, Dst: dst, Status: status, Hops: make([]Hop, len(sc.hops))}
 	copy(tr.Hops, sc.hops)
 	p.tracers.Put(sc)
@@ -241,13 +241,14 @@ type tracer struct {
 	best []Hop
 }
 
-// synthesize runs one traceroute attempt from vm to dst at virtual time
-// tSec. It returns the attempt's hops, written over buf's backing array,
-// with its termination status and fault stats. path is the forwarder
-// scratch. Once buf and path have grown to the longest trace, an attempt
-// allocates nothing.
-func (p *Prober) synthesize(buf []Hop, path *route.Path, vm route.VM, dst netblock.IP, tSec float64) ([]Hop, Status, AttemptStats) {
+// synthesize runs one traceroute attempt from vm to the resolved
+// destination d at virtual time tSec. It returns the attempt's hops,
+// written over buf's backing array, with its termination status and fault
+// stats. path is the forwarder scratch. Once buf and path have grown to the
+// longest trace, an attempt allocates nothing.
+func (p *Prober) synthesize(buf []Hop, path *route.Path, vm route.VM, d route.Dest, tSec float64) ([]Hop, Status, AttemptStats) {
 	var st AttemptStats
+	dst := d.IP
 	hops := buf[:0]
 	if !p.inj.RegionUp(vm.Cloud, vm.Region, tSec) {
 		// The vantage region is down: nothing is sent. The attempt still
@@ -259,7 +260,7 @@ func (p *Prober) synthesize(buf []Hop, path *route.Path, vm route.VM, dst netblo
 		}
 		return hops, StatusGapLimit, st
 	}
-	p.f.TraceInto(path, vm, dst, tSec)
+	p.f.TraceInto(path, vm, d, tSec)
 	st.Flapped = path.Truncated
 	gap := 0
 

@@ -178,11 +178,12 @@ func emitFault(sp *obs.Span, dst netblock.IP, attempt int, tSec float64, st Atte
 // stable. budget counts the retries this chunk may still spend (nil =
 // unlimited). sp, when non-nil, receives one "fault" event per faulted
 // attempt and one "retry" event per re-probe.
-func (p *Prober) traceRetry(sp *obs.Span, prog *obs.Progress, sc *tracer, vm route.VM, vmKey uint64, dst netblock.IP, pol RetryPolicy, epoch uint64, budget *int64, cs *CampaignStats) Status {
+func (p *Prober) traceRetry(sp *obs.Span, prog *obs.Progress, sc *tracer, vm route.VM, vmKey uint64, d route.Dest, pol RetryPolicy, epoch uint64, budget *int64, cs *CampaignStats) Status {
+	dst := d.IP
 	tSec := p.inj.ScheduleSec(epoch, vmKey, dst)
 	var status Status
 	var st AttemptStats
-	sc.best, status, st = p.synthesize(sc.best, &sc.path, vm, dst, tSec)
+	sc.best, status, st = p.synthesize(sc.best, &sc.path, vm, d, tSec)
 	cs.Targets++
 	cs.observe(st)
 	if st.Faulted() {
@@ -209,7 +210,7 @@ func (p *Prober) traceRetry(sp *obs.Span, prog *obs.Progress, sc *tracer, vm rou
 		}
 		prog.RetrySpent()
 		var retryStatus Status
-		sc.hops, retryStatus, st = p.synthesize(sc.hops, &sc.path, vm, dst, tSec)
+		sc.hops, retryStatus, st = p.synthesize(sc.hops, &sc.path, vm, d, tSec)
 		cs.Retries++
 		cs.observe(st)
 		if st.Faulted() {
@@ -339,6 +340,21 @@ func ChunkRetryBudget(budget int64, n, idx int) int64 {
 // whenever the chunk runs. The traces' hops share a few per-chunk arena
 // blocks, so a chunk costs a handful of allocations, not one per trace.
 func (p *Prober) RunChunkObs(ctx context.Context, sp *obs.Span, prog *obs.Progress, wc WorkChunk, targets []netblock.IP, pol RetryPolicy, epoch uint64, budget int64, lane int) ([]Trace, CampaignStats, error) {
+	return p.runChunk(ctx, sp, prog, wc, p.resolve(targets), pol, epoch, budget, lane, make([]Trace, 0, len(targets)))
+}
+
+// resolve resolves campaign targets into forwarder destinations, in order.
+func (p *Prober) resolve(targets []netblock.IP) []route.Dest {
+	dests := make([]route.Dest, len(targets))
+	for i, dst := range targets {
+		dests[i] = p.f.Dest(dst)
+	}
+	return dests
+}
+
+// runChunk is RunChunkObs over resolved destinations, appending the
+// chunk's traces to out, an empty batch whose capacity it reuses.
+func (p *Prober) runChunk(ctx context.Context, sp *obs.Span, prog *obs.Progress, wc WorkChunk, dests []route.Dest, pol RetryPolicy, epoch uint64, budget int64, lane int, out []Trace) ([]Trace, CampaignStats, error) {
 	pol = pol.withDefaults()
 	vm, err := p.vm(wc.VM)
 	if err != nil {
@@ -357,14 +373,13 @@ func (p *Prober) RunChunkObs(ctx context.Context, sp *obs.Span, prog *obs.Progre
 	defer p.tracers.Put(sc)
 	var cs CampaignStats
 	var arena hopArena
-	out := make([]Trace, 0, len(targets))
-	for _, dst := range targets {
+	for _, d := range dests {
 		if err := ctx.Err(); err != nil {
 			csp.End(obs.Attrs{"status": "interrupted"})
 			return nil, cs, fmt.Errorf("probe: campaign interrupted: %w", err)
 		}
-		status := p.traceRetry(csp, prog, sc, vm, vmKey, dst, pol, epoch, budgetPtr, &cs)
-		out = append(out, Trace{Src: wc.VM, Dst: dst, Status: status, Hops: arena.keep(sc.best)})
+		status := p.traceRetry(csp, prog, sc, vm, vmKey, d, pol, epoch, budgetPtr, &cs)
+		out = append(out, Trace{Src: wc.VM, Dst: d.IP, Status: status, Hops: arena.keep(sc.best)})
 	}
 	csp.End(chunkAttrs(cs))
 	return out, cs, nil
@@ -395,9 +410,18 @@ func (a *hopArena) keep(hops []Hop) []Hop {
 // classifications and retry attempts become journal events on that span,
 // and retries burn down prog's live retry-budget gauge. sp and prog may be
 // nil (no-ops); the hot path then pays one nil check per probe.
+//
+// Targets are resolved once for every VM and retry attempt. Chunk trace
+// batches cycle through a free list: ordered.Run keeps at most 2×workers
+// chunks undelivered, so 3×workers batches cover the campaign. A batch is
+// cleared after delivery, so a pooled batch never pins a hop arena; sinks
+// get each Trace by value, so reusing the batch cannot change what they
+// kept.
 func (p *Prober) CampaignRetryObsCtx(ctx context.Context, sp *obs.Span, prog *obs.Progress, vms []VMRef, targets []netblock.IP, workers int, pol RetryPolicy, epoch uint64, sink TraceSink) (CampaignStats, error) {
 	pol = pol.withDefaults()
 	chunks := ChunkCampaign(vms, targets)
+	dests := p.resolve(targets)
+	free := make(chan []Trace, 3*max(workers, 1))
 	type result struct {
 		traces []Trace
 		stats  CampaignStats
@@ -405,13 +429,24 @@ func (p *Prober) CampaignRetryObsCtx(ctx context.Context, sp *obs.Span, prog *ob
 	var total CampaignStats
 	err := ordered.Run(ctx, len(chunks), workers, func(i, lane int) (result, error) {
 		c := chunks[i]
+		var batch []Trace
+		select {
+		case batch = <-free:
+		default:
+			batch = make([]Trace, 0, campaignChunk)
+		}
 		share := ChunkRetryBudget(pol.Budget, len(chunks), i)
-		traces, cs, err := p.RunChunkObs(ctx, sp, prog, c, targets[c.From:c.To], pol, epoch, share, lane)
+		traces, cs, err := p.runChunk(ctx, sp, prog, c, dests[c.From:c.To], pol, epoch, share, lane, batch)
 		return result{traces, cs}, err
 	}, func(_ int, r result) error {
 		total.Merge(r.stats)
 		for _, tr := range r.traces {
 			sink(tr)
+		}
+		clear(r.traces)
+		select {
+		case free <- r.traces[:0]:
+		default:
 		}
 		return nil
 	})

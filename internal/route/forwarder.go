@@ -8,7 +8,7 @@
 package route
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"cloudmap/internal/faults"
 	"cloudmap/internal/geo"
@@ -25,16 +25,16 @@ type Forwarder struct {
 	announced *netblock.Trie
 
 	// peeringsByPeer lists, per cloud, the peering instances toward each
-	// peer AS.
-	peeringsByPeer []map[model.ASIndex][]model.PeeringID
+	// peer AS, indexed by AS.
+	peeringsByPeer [][][]model.PeeringID
 
 	// coreIncoming is the canonical incoming interface of each router used
 	// for intra-AS hops (the edge->core /31 address for core routers).
 	coreIncoming []model.IfaceID
 
 	// backboneIfaces lists each border router's backbone-facing interfaces
-	// (candidate ABIs).
-	backboneIfaces map[model.RouterID][]model.IfaceID
+	// (candidate ABIs), indexed by router.
+	backboneIfaces [][]model.IfaceID
 
 	// linkOf maps an interconnection interface to its link(s). A VPI
 	// exchange-port interface belongs to one link per cloud it reaches.
@@ -44,19 +44,18 @@ type Forwarder struct {
 	// subslice of it rather than a fresh allocation (see singleAS).
 	asIndexes []model.ASIndex
 
-	// egressCache memoises egress decisions per (cloud, region, dstAS).
-	egressMu    sync.Mutex
-	egressCache map[egressKey]egressChoice
+	// egressMemo memoises egress decisions per (cloud, region, dstAS): a
+	// dense table indexed by egressSlot, filled lazily and read without
+	// locks. Two goroutines racing to fill one slot store equal choices,
+	// since computeEgress depends on the slot's key only.
+	egressMemo []atomic.Pointer[egressChoice]
+	// regionBase[c] is the memo row of cloud c's region 0: clouds' regions
+	// are numbered consecutively across the topology.
+	regionBase []int
 
 	// inj, when non-nil, injects link flaps into path computation (TraceAt).
 	// All other fault dimensions are reply-level and live in the prober.
 	inj *faults.Injector
-}
-
-type egressKey struct {
-	cloud  model.CloudID
-	region int16
-	dst    model.ASIndex
 }
 
 type egressChoice struct {
@@ -73,15 +72,21 @@ func NewForwarder(t *model.Topology) *Forwarder {
 	f := &Forwarder{
 		t:              t,
 		announced:      netblock.NewTrie(),
-		backboneIfaces: make(map[model.RouterID][]model.IfaceID),
+		backboneIfaces: make([][]model.IfaceID, len(t.Routers)),
 		linkOf:         make(map[model.IfaceID][]model.LinkID),
-		egressCache:    make(map[egressKey]egressChoice),
 		coreIncoming:   make([]model.IfaceID, len(t.Routers)),
 		asIndexes:      make([]model.ASIndex, len(t.ASes)),
+		regionBase:     make([]int, len(t.Clouds)),
 	}
 	for i := range f.asIndexes {
 		f.asIndexes[i] = model.ASIndex(i)
 	}
+	regions := 0
+	for ci := range t.Clouds {
+		f.regionBase[ci] = regions
+		regions += len(t.Clouds[ci].Regions)
+	}
+	f.egressMemo = make([]atomic.Pointer[egressChoice], regions*len(t.ASes))
 
 	// Global BGP view: announced prefixes only.
 	for i := range t.ASes {
@@ -98,9 +103,9 @@ func NewForwarder(t *model.Topology) *Forwarder {
 		}
 	}
 
-	f.peeringsByPeer = make([]map[model.ASIndex][]model.PeeringID, len(t.Clouds))
+	f.peeringsByPeer = make([][][]model.PeeringID, len(t.Clouds))
 	for ci := range t.Clouds {
-		f.peeringsByPeer[ci] = make(map[model.ASIndex][]model.PeeringID)
+		f.peeringsByPeer[ci] = make([][]model.PeeringID, len(t.ASes))
 	}
 	for i := range t.Peerings {
 		p := &t.Peerings[i]

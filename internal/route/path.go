@@ -1,6 +1,8 @@
 package route
 
 import (
+	"sync/atomic"
+
 	"cloudmap/internal/geo"
 	"cloudmap/internal/model"
 	"cloudmap/internal/netblock"
@@ -54,16 +56,45 @@ func (f *Forwarder) Trace(vm VM, dst netblock.IP) Path {
 	return f.TraceAt(vm, dst, 0)
 }
 
+// Dest is a probe destination resolved against the topology: everything
+// path computation needs about the target that does not depend on the
+// vantage. Campaigns resolve each target once (Forwarder.Dest) and reuse it
+// for every vantage and retry attempt.
+type Dest struct {
+	IP netblock.IP
+	// Iface is the router interface holding IP (expansion targets often
+	// are one), or NoIface.
+	Iface model.IfaceID
+	// Owner is the AS the address is delegated to, or NoAS for unrouted
+	// space (private, shared, undelegated or IXP LAN addresses).
+	Owner model.ASIndex
+}
+
+// Dest resolves dst for TraceInto. Private and shared space resolves to
+// neither an interface nor an owner: such probes die at the gateways.
+func (f *Forwarder) Dest(dst netblock.IP) Dest {
+	d := Dest{IP: dst, Iface: model.NoIface, Owner: model.NoAS}
+	if dst.IsPrivate() || dst.IsShared() {
+		return d
+	}
+	if ifc, ok := f.t.IfaceAt(dst); ok {
+		d.Iface = ifc
+	}
+	d.Owner = f.t.AddrOwner(dst)
+	return d
+}
+
 // TraceAt computes the path of a probe sent at virtual time tSec. With a
 // fault injector installed (SetFaults), an interconnection link that is
 // flapped at tSec drops the probe at the cloud border: the path truncates
 // after the border hop and the destination never answers. Fault windows are
 // long relative to RTTs, so the whole path is evaluated at the send time.
 //
-// The returned path owns freshly allocated hops; hot loops use TraceInto.
+// The returned path owns freshly allocated hops; hot loops resolve the
+// destination once and use TraceInto.
 func (f *Forwarder) TraceAt(vm VM, dst netblock.IP, tSec float64) Path {
 	p := Path{Hops: make([]HopTemplate, 0, typicalPathHops)}
-	f.TraceInto(&p, vm, dst, tSec)
+	f.TraceInto(&p, vm, f.Dest(dst), tSec)
 	return p
 }
 
@@ -71,15 +102,17 @@ func (f *Forwarder) TraceAt(vm VM, dst netblock.IP, tSec float64) Path {
 // allocation: gateways, backbone, border and a short client descent.
 const typicalPathHops = 16
 
-// TraceInto is TraceAt writing into a caller-owned path: p is overwritten
-// and its Hops backing array reused, so a goroutine that keeps one Path as
-// scratch computes paths without allocating. The hops stay valid only until
-// the next TraceInto on the same Path.
-func (f *Forwarder) TraceInto(p *Path, vm VM, dst netblock.IP, tSec float64) {
+// TraceInto is TraceAt for a resolved destination, writing into a
+// caller-owned path: p is overwritten and its Hops backing array reused, so
+// a goroutine that keeps one Path as scratch computes paths without
+// allocating. The hops stay valid only until the next TraceInto on the same
+// Path.
+func (f *Forwarder) TraceInto(p *Path, vm VM, d Dest, tSec float64) {
 	t := f.t
 	c := &t.Clouds[vm.Cloud]
 	reg := &c.Regions[vm.Region]
 	srcMetro := reg.Metro
+	dst, dstIfc, dstOwner := d.IP, d.Iface, d.Owner
 
 	*p = Path{Hops: p.Hops[:0], DstIface: model.NoIface, DstAS: model.NoAS}
 
@@ -90,20 +123,10 @@ func (f *Forwarder) TraceInto(p *Path, vm VM, dst netblock.IP, tSec float64) {
 		p.Hops = append(p.Hops, HopTemplate{Iface: f.coreIncoming[gw], RTT: rtt})
 	}
 
-	// Unrouted space dies at the gateways.
-	if dst.IsPrivate() || dst.IsShared() {
-		return
-	}
-	// Every branch below asks whether the destination is a router
-	// interface (expansion targets often are): look it up once.
-	dstIfc, isIfc := t.IfaceAt(dst)
-	if !isIfc {
-		dstIfc = model.NoIface
-	}
-	dstOwner := t.AddrOwner(dst)
+	// Unrouted space dies at the gateways, except IXP LAN addresses: they
+	// have no RIR delegation but are still routable across the exchange
+	// when they sit on a link of this cloud.
 	if dstOwner == model.NoAS {
-		// IXP LAN addresses have no RIR delegation but are still routable
-		// across the exchange when they sit on a link of this cloud.
 		if dstIfc != model.NoIface {
 			if _, onLink := f.linkForCloud(dstIfc, c.ID); onLink {
 				dstOwner = t.IfaceAS(dstIfc)
@@ -376,20 +399,24 @@ func (f *Forwarder) egress(vm VM, c *model.Cloud, dstOwner model.ASIndex, dst ne
 		}
 	}
 
-	key := egressKey{cloud: c.ID, region: int16(vm.Region), dst: dstOwner}
-	f.egressMu.Lock()
-	if choice, ok := f.egressCache[key]; ok {
-		f.egressMu.Unlock()
-		return choice
+	slot := f.egressSlot(vm, dstOwner)
+	if choice := slot.Load(); choice != nil {
+		return *choice
 	}
-	f.egressMu.Unlock()
 	choice := f.computeEgress(vm, c, dstOwner, dst)
-	f.egressMu.Lock()
-	f.egressCache[key] = choice
-	f.egressMu.Unlock()
+	slot.Store(&choice)
 	return choice
 }
 
+// egressSlot returns the memo entry for egress from vm toward dstOwner.
+func (f *Forwarder) egressSlot(vm VM, dstOwner model.ASIndex) *atomic.Pointer[egressChoice] {
+	return &f.egressMemo[(f.regionBase[vm.Cloud]+vm.Region)*len(f.t.ASes)+int(dstOwner)]
+}
+
+// computeEgress decides egress from vm toward dstOwner. dst only seeds
+// chooseInstance's per-/24 hash, and whether an instance exists does not
+// depend on it, so the choice is a function of (cloud, region, dstOwner)
+// and memoising it per that key is exact whichever destination fills it.
 func (f *Forwarder) computeEgress(vm VM, c *model.Cloud, dstOwner model.ASIndex, dst netblock.IP) egressChoice {
 	t := f.t
 	announced := t.ASes[dstOwner].AnnouncesService || t.ASes[dstOwner].AnnouncesInfra

@@ -1,6 +1,8 @@
 package route
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"cloudmap/internal/model"
@@ -295,6 +297,107 @@ func TestEgressCacheDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEgressMemoFillOrder: the egress memo keeps one choice per (region,
+// destination AS), filled by whichever of the AS's destinations is traced
+// first. Paths must not depend on which one that was: filling the memo in
+// forward order, in reverse, or from 8 goroutines at once yields exactly
+// the paths of a forwarder whose memo slot is empty before every trace.
+func TestEgressMemoFillOrder(t *testing.T) {
+	tp, ref := genTopo(t)
+	amazon := tp.Amazon()
+	vms := amazonVMs(tp)
+
+	// Destinations grouped by client AS: the first /24s of each service
+	// and infrastructure prefix, so chooseInstance's per-/24 hash varies
+	// within a group.
+	type group struct {
+		owner model.ASIndex
+		dsts  []netblock.IP
+	}
+	var groups []group
+	for i := range tp.ASes {
+		as := &tp.ASes[i]
+		if as.Type == model.ASCloud {
+			continue
+		}
+		g := group{owner: as.Index}
+		for _, pfx := range append(append([]netblock.Prefix(nil), as.ServicePrefixes...), as.InfraPrefixes...) {
+			for k, s24 := range pfx.Slash24s() {
+				if k == 2 {
+					break
+				}
+				if d := ref.Dest(s24.Addr + 1); d.Owner == as.Index {
+					g.dsts = append(g.dsts, d.IP)
+				}
+			}
+		}
+		if len(g.dsts) >= 2 {
+			groups = append(groups, g)
+		}
+	}
+	if len(groups) < 100 {
+		t.Fatalf("only %d client ASes with two or more destinations", len(groups))
+	}
+
+	// want[v][g][k]: the path with the memo slot emptied before the trace.
+	want := make([][][]Path, len(vms))
+	for v, vm := range vms {
+		want[v] = make([][]Path, len(groups))
+		for g, grp := range groups {
+			for _, dst := range grp.dsts {
+				ref.egressSlot(vm, grp.owner).Store(nil)
+				want[v][g] = append(want[v][g], ref.TraceAt(vm, dst, 0))
+			}
+			// The memoised choice itself ignores the destination.
+			a := ref.computeEgress(vm, amazon, grp.owner, grp.dsts[0])
+			b := ref.computeEgress(vm, amazon, grp.owner, grp.dsts[1])
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("region %d AS %d: computeEgress depends on the destination: %+v vs %+v", vm.Region, grp.owner, a, b)
+			}
+		}
+	}
+
+	check := func(order string, f *Forwarder, v, g, k int) bool {
+		got := f.TraceAt(vms[v], groups[g].dsts[k], 0)
+		if !reflect.DeepEqual(got, want[v][g][k]) {
+			t.Errorf("%s fill: region %d dst %s: path differs from a fresh memo's", order, v, groups[g].dsts[k])
+			return false
+		}
+		return true
+	}
+	forward := NewForwarder(tp)
+	reverse := NewForwarder(tp)
+	for v := range vms {
+		for g, grp := range groups {
+			for k := range grp.dsts {
+				check("forward", forward, v, g, k)
+				check("reverse", reverse, v, g, len(grp.dsts)-1-k)
+			}
+		}
+	}
+
+	// Concurrent fill: each goroutine walks every destination from its own
+	// starting offset, so different destinations race to fill each slot.
+	concurrent := NewForwarder(tp)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := range vms {
+				for g, grp := range groups {
+					for i := range grp.dsts {
+						if !check("concurrent", concurrent, v, g, (i+w)%len(grp.dsts)) {
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestAnnouncedOriginMatchesOwnership(t *testing.T) {
