@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench fuzz chaos hygiene crash agent-smoke
+.PHONY: build test check fuzz chaos hygiene crash agent-smoke
 
 build:
 	$(GO) build ./...
@@ -12,10 +12,6 @@ test:
 # bench smoke + fuzz smoke (see scripts/check.sh).
 check:
 	sh scripts/check.sh
-
-# Pipeline benchmarks; emits BENCH_pipeline.json (see scripts/bench.sh).
-bench:
-	sh scripts/bench.sh
 
 # Chaos smoke: the fault-injection acceptance tests — pinning precision
 # holds under the moderate plan, manifests record the degradation, and a

@@ -33,23 +33,6 @@ type ICGResult = icg.Result
 // count.
 type ComboCount = grouping.ComboCount
 
-// detectVPIs runs §7.1 over the configured foreign clouds. reg is the
-// dataset view the run's inference consumes (the hygiene registry under
-// RunPipeline).
-func detectVPIs(sys *System, reg *registry.Registry, res *Result, clouds []string) *VPIResult {
-	out, err := vpi.Detect(sys.Prober, reg, res.Border, clouds)
-	if err != nil {
-		// Campaign errors here can only be configuration mistakes (unknown
-		// cloud names); surface an empty result rather than fail the run.
-		return &vpi.Result{
-			Pairwise:   map[string]map[IP]struct{}{},
-			Cumulative: map[string]int{},
-			VPICBIs:    map[IP]struct{}{},
-		}
-	}
-	return out
-}
-
 // classifyPeerings runs §7.2-7.3 over the given dataset view.
 func classifyPeerings(reg *registry.Registry, res *Result) *GroupingResult {
 	return grouping.Classify(res.Verified, res.Border, reg, res.VPI, res.Pinning)

@@ -16,7 +16,6 @@ import (
 	"cloudmap/internal/metrics"
 	"cloudmap/internal/netblock"
 	"cloudmap/internal/obs"
-	"cloudmap/internal/ordered"
 	"cloudmap/internal/probe"
 	"cloudmap/internal/tracefile"
 )
@@ -29,23 +28,11 @@ type Options struct {
 	// LeaseTimeout is the per-lease deadline; an expired lease counts as
 	// failed and the chunk re-dispatches. Defaults to 60s.
 	LeaseTimeout time.Duration
-	// MaxAttempts bounds remote dispatch attempts per chunk before the
-	// controller runs the chunk locally. Defaults to 3.
-	MaxAttempts int
 	// RetryBackoff is the pause before a chunk's second dispatch attempt,
 	// doubling per further attempt. Defaults to 200ms.
 	RetryBackoff time.Duration
 	// Heartbeat is the agent health-poll interval. Defaults to 1s.
 	Heartbeat time.Duration
-	// HedgeFactor duplicates a lease once it outlives factor × the p95 of
-	// observed lease durations (straggler hedging). Defaults to 2.
-	HedgeFactor float64
-	// HedgeMin floors the hedge delay so fast campaigns do not hedge on
-	// noise. Defaults to 250ms.
-	HedgeMin time.Duration
-	// HedgeMinSamples is how many lease durations must be observed before
-	// hedging arms. Defaults to 8.
-	HedgeMinSamples int
 	// Metrics receives the lease counters, named <MetricsPrefix>.leases_granted,
 	// .leases_expired, .chunks_rehedged, .agents_lost, .chunks_local, and
 	// .lease_failures, plus the fleet lease-RTT histogram .lease_rtt_ms and
@@ -62,23 +49,11 @@ func (o Options) withDefaults() Options {
 	if o.LeaseTimeout <= 0 {
 		o.LeaseTimeout = 60 * time.Second
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 200 * time.Millisecond
 	}
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = time.Second
-	}
-	if o.HedgeFactor <= 0 {
-		o.HedgeFactor = 2
-	}
-	if o.HedgeMin <= 0 {
-		o.HedgeMin = 250 * time.Millisecond
-	}
-	if o.HedgeMinSamples <= 0 {
-		o.HedgeMinSamples = 8
 	}
 	if o.Metrics == nil {
 		o.Metrics = metrics.NewRegistry()
@@ -107,6 +82,18 @@ const (
 	healthResurrect    = 3
 	downMark           = 2
 	healthTimeoutFloor = time.Second
+)
+
+// Lease scheduling: maxAttempts bounds remote dispatch attempts per chunk
+// before the chunk runs locally. A lease that outlives hedgeFactor × the
+// p95 of recent lease durations, floored at hedgeMin so fast campaigns do
+// not hedge on noise, is duplicated to a second agent; hedging arms once
+// hedgeMinSamples leases have completed.
+const (
+	maxAttempts     = 3
+	hedgeFactor     = 2
+	hedgeMin        = 250 * time.Millisecond
+	hedgeMinSamples = 8
 )
 
 // agentMetrics is one agent's per-agent series on the controller registry,
@@ -172,9 +159,9 @@ type Fleet struct {
 	Stats  Stats       `json:"stats"`
 }
 
-// Controller leases campaign chunks to remote agents and merges their
-// results deterministically. One controller serves many campaigns (the
-// daemon's epochs); Close stops its heartbeat loop.
+// Controller leases campaign chunks to remote agents: it is the
+// probe.ChunkExecutor a campaign offers each chunk. One controller serves
+// many campaigns (the daemon's epochs); Close stops its heartbeat loop.
 type Controller struct {
 	opts        Options
 	fingerprint string
@@ -190,6 +177,9 @@ type Controller struct {
 	hRTT      *metrics.Histogram
 
 	leaseSeq atomic.Int64
+	// fleetDown is set when a chunk finds no live agent and cleared when
+	// one turns live, so a dead fleet logs once, not once per chunk.
+	fleetDown atomic.Bool
 
 	durMu sync.Mutex
 	durs  []time.Duration // recent lease durations (hedge-delay estimator)
@@ -202,7 +192,7 @@ type Controller struct {
 
 // NewController builds a controller for the given agent set. fingerprint is
 // the probing-world guard every lease carries (see Fingerprint). Heartbeats
-// start lazily on the first campaign.
+// start lazily on the first chunk offered to RunChunk.
 func NewController(opts Options, fingerprint string) *Controller {
 	opts = opts.withDefaults()
 	c := &Controller{
@@ -328,6 +318,7 @@ func (c *Controller) sweep() {
 				a.fails.Store(0)
 				if !a.live.Load() && a.oks.Add(1) >= a.needOK.Load() {
 					a.live.Store(true)
+					c.fleetDown.Store(false)
 					c.opts.Log.Info("agent live", "agent", a.url, "id", h.ID)
 				}
 			} else {
@@ -486,99 +477,59 @@ func (c *Controller) observeDuration(a *agentState, d time.Duration) {
 }
 
 // hedgeDelay returns how long a lease may run before a duplicate dispatches:
-// HedgeFactor × the observed p95, floored at HedgeMin. Hedging stays
-// disarmed (ok=false) until HedgeMinSamples leases have completed.
+// hedgeFactor × the observed p95, floored at hedgeMin. Hedging stays
+// disarmed (ok=false) until hedgeMinSamples leases have completed.
 func (c *Controller) hedgeDelay() (time.Duration, bool) {
 	c.durMu.Lock()
 	defer c.durMu.Unlock()
-	if len(c.durs) < c.opts.HedgeMinSamples {
+	if len(c.durs) < hedgeMinSamples {
 		return 0, false
 	}
 	sorted := append([]time.Duration(nil), c.durs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	p95 := sorted[len(sorted)*95/100]
-	d := time.Duration(float64(p95) * c.opts.HedgeFactor)
-	if d < c.opts.HedgeMin {
-		d = c.opts.HedgeMin
+	d := time.Duration(float64(p95) * hedgeFactor)
+	if d < hedgeMin {
+		d = hedgeMin
 	}
 	return d, true
 }
 
-// Campaign runs one probing campaign across the agent fleet, mirroring
-// probe.CampaignRetryObsCtx's contract exactly: the chunks run through the
-// same ordered.Run scheduler, traces stream to sink in campaign order,
-// stats merge in chunk order, and the result is byte-identical to a local
-// run at any agent count, worker count, or failure schedule. Chunks that
-// exhaust their remote attempts — or the whole campaign, when no agents
-// are live — run locally on p.
-func (c *Controller) Campaign(ctx context.Context, sp *obs.Span, prog *obs.Progress, p *probe.Prober, vms []probe.VMRef, targets []netblock.IP, workers int, pol probe.RetryPolicy, epoch uint64, sink probe.TraceSink) (probe.CampaignStats, error) {
-	c.startOnce.Do(c.start)
-	chunks := probe.ChunkCampaign(vms, targets)
-	runChunk := func(wc probe.WorkChunk, lane int) ([]probe.Trace, probe.CampaignStats, error) {
-		return c.runChunk(ctx, sp, prog, p, wc, targets[wc.From:wc.To], len(chunks), pol, epoch, lane)
-	}
-	if len(chunks) > 0 && c.LiveAgents() == 0 {
-		// Graceful degradation: no fleet, no protocol — the local engine
-		// runs the identical campaign (same chunk spans, same bytes).
-		c.opts.Log.Info("no live agents", "chunks", len(chunks), "fallback", "local")
-		c.cLocal.Add(int64(len(chunks)))
-		runChunk = func(wc probe.WorkChunk, lane int) ([]probe.Trace, probe.CampaignStats, error) {
-			share := probe.ChunkRetryBudget(pol.Budget, len(chunks), wc.Index)
-			return p.RunChunkObs(ctx, sp, prog, wc, targets[wc.From:wc.To], pol, epoch, share, lane)
-		}
-	}
-
-	type result struct {
-		traces []probe.Trace
-		stats  probe.CampaignStats
-	}
-	var total probe.CampaignStats
-	err := ordered.Run(ctx, len(chunks), workers, func(i, lane int) (result, error) {
-		traces, cs, err := runChunk(chunks[i], lane)
-		return result{traces, cs}, err
-	}, func(_ int, r result) error {
-		total.Merge(r.stats)
-		for _, tr := range r.traces {
-			sink(tr)
-		}
-		return nil
-	})
-	return total, err
-}
-
-// runChunk executes one chunk: lease it remotely (with deadline, hedging,
-// and exponential-backoff re-dispatch) up to MaxAttempts times, then fall
-// back to the local prober. Only a context cancellation or a local
-// execution error is fatal; agent trouble never fails the campaign.
+// RunChunk leases one chunk to the fleet, with deadline, hedging, and
+// exponential-backoff re-dispatch, up to maxAttempts times. It declines
+// (ok=false) when no agent is live or every attempt failed, and the
+// campaign then runs the chunk locally; agent trouble never fails the
+// campaign, only cancellation does.
 //
 // Only the winning lease's captured spans import into the journal — retries
 // and hedge losers are wall-clock accidents, and journaling them would make
 // the journal schedule-dependent. They surface in logs and metrics instead.
-func (c *Controller) runChunk(ctx context.Context, sp *obs.Span, prog *obs.Progress, p *probe.Prober, wc probe.WorkChunk, targets []netblock.IP, nChunks int, pol probe.RetryPolicy, epoch uint64, lane int) ([]probe.Trace, probe.CampaignStats, error) {
-	share := probe.ChunkRetryBudget(pol.Budget, nChunks, wc.Index)
+func (c *Controller) RunChunk(ctx context.Context, sp *obs.Span, wc probe.WorkChunk, targets []netblock.IP, pol probe.RetryPolicy, epoch uint64, budget int64) ([]probe.Trace, probe.CampaignStats, bool, error) {
+	c.startOnce.Do(c.start)
 	backoff := c.opts.RetryBackoff
-	for attempt := 1; attempt <= c.opts.MaxAttempts; attempt++ {
+	attempt := 1
+	for ; attempt <= maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, probe.CampaignStats{}, fmt.Errorf("dispatch: campaign interrupted: %w", err)
+			return nil, probe.CampaignStats{}, false, fmt.Errorf("dispatch: campaign interrupted: %w", err)
 		}
 		ag := c.pickAgent(nil)
 		if ag == nil {
 			break
 		}
-		traces, cs, spans, err := c.leaseHedged(ctx, sp, ag, wc, targets, pol, share, epoch)
+		traces, cs, spans, err := c.leaseHedged(ctx, sp, ag, wc, targets, pol, budget, epoch)
 		if err == nil {
 			sp.Import(spans)
-			return traces, cs, nil
+			return traces, cs, true, nil
 		}
 		if ctx.Err() != nil {
-			return nil, probe.CampaignStats{}, fmt.Errorf("dispatch: campaign interrupted: %w", ctx.Err())
+			return nil, probe.CampaignStats{}, false, fmt.Errorf("dispatch: campaign interrupted: %w", ctx.Err())
 		}
-		c.opts.Log.Info("redispatching chunk", "chunk", wc.Index, "attempt", attempt, "max", c.opts.MaxAttempts, "err", err)
-		if attempt < c.opts.MaxAttempts {
+		c.opts.Log.Info("redispatching chunk", "chunk", wc.Index, "attempt", attempt, "max", maxAttempts, "err", err)
+		if attempt < maxAttempts {
 			select {
 			case <-time.After(backoff):
 			case <-ctx.Done():
-				return nil, probe.CampaignStats{}, fmt.Errorf("dispatch: campaign interrupted: %w", ctx.Err())
+				return nil, probe.CampaignStats{}, false, fmt.Errorf("dispatch: campaign interrupted: %w", ctx.Err())
 			}
 			backoff *= 2
 		}
@@ -586,8 +537,12 @@ func (c *Controller) runChunk(ctx context.Context, sp *obs.Span, prog *obs.Progr
 	// Graceful degradation: the fleet could not finish this chunk; the
 	// local engine produces the identical bytes.
 	c.cLocal.Inc()
-	c.opts.Log.Info("chunk running locally", "chunk", wc.Index)
-	return p.RunChunkObs(ctx, sp, prog, wc, targets, pol, epoch, share, lane)
+	if attempt > 1 {
+		c.opts.Log.Info("chunk running locally", "chunk", wc.Index)
+	} else if c.fleetDown.CompareAndSwap(false, true) {
+		c.opts.Log.Info("no live agents", "fallback", "local")
+	}
+	return nil, probe.CampaignStats{}, false, nil
 }
 
 // leaseHedged issues one lease, arming a straggler hedge: if the lease
@@ -745,6 +700,14 @@ func (c *Controller) lease(ctx context.Context, a *agentState, span string, wc p
 	if !sum.Complete || len(traces) != len(targets) {
 		c.cFailed.Inc()
 		return nil, probe.CampaignStats{}, nil, fmt.Errorf("dispatch: lease %s returned %d/%d traces (complete=%v)", lease.ID, len(traces), len(targets), sum.Complete)
+	}
+	// The reply is outside input: a well-framed result for the wrong
+	// vantage or targets must not reach the sink.
+	for i, tr := range traces {
+		if tr.Src != wc.VM || tr.Dst != targets[i] {
+			c.cFailed.Inc()
+			return nil, probe.CampaignStats{}, nil, fmt.Errorf("dispatch: lease %s trace %d is %s→%s, want %s→%s", lease.ID, i, tr.Src, tr.Dst, wc.VM, targets[i])
+		}
 	}
 	return traces, stats, spans, nil
 }

@@ -1,18 +1,20 @@
 // Package dispatch is the distributed execution layer of the probing
 // campaigns: a controller that turns campaign chunks into CRC-framed work
 // leases handed to remote probe agents (cmd/cloudmapagent) over a small
-// HTTP/JSON protocol, and the agent server that executes them.
+// HTTP/JSON protocol, and the agent server that executes them. The
+// controller is a probe.ChunkExecutor: it runs no campaign loop of its own
+// but acts on the single chunks probe.CampaignRetryObsCtx offers it.
 //
 // The design leans on one property the rest of the repository already
 // guarantees: a campaign chunk is a pure function of (world seed, fault
 // plan, retry policy, epoch, chunk identity). Any process that builds the
 // same world computes byte-identical traces for the same chunk, so the
 // controller is free to lease a chunk to whichever agent is alive, lease it
-// twice when one agent straggles, or fall back to running it locally — the
-// merged result cannot change. Chunks merge in campaign-chunk order through
-// ordered.Run, the scheduler probe.CampaignRetryObsCtx uses too, so reports
-// stay byte-identical at any agent count, worker count, or failure
-// schedule.
+// twice when one agent straggles, or decline it so the campaign runs it
+// locally — the merged result cannot change. The campaign driver computes
+// each chunk's retry-budget share and merges chunks in campaign-chunk
+// order whoever executed them, so reports stay byte-identical at any agent
+// count, worker count, or failure schedule.
 //
 // Fault tolerance, concretely:
 //
@@ -28,16 +30,17 @@
 //     (service.chunks_rehedged); the first valid result wins and the
 //     duplicate is discarded — trivially deterministic, both copies are
 //     byte-identical;
-//   - graceful degradation: a chunk that exhausts its remote attempts — or
-//     a campaign that starts with no live agents at all — runs locally in
-//     the controller process. A distributed run never fails because agents
-//     misbehave.
+//   - graceful degradation: a chunk that exhausts its remote attempts, or
+//     finds no live agent, is declined and runs locally in the controller
+//     process. A distributed run never fails because agents misbehave.
 //
 // Work leases are integrity-framed end to end: the lease carries a CRC32
 // over its packed target list (agents refuse corrupted leases), and results
 // stream back as one complete binary tracefile v2 per chunk, whose own
 // CRC-framed chunks and completeness trailer the controller verifies before
-// accepting the lease.
+// accepting the lease. The reply is outside input, so the controller also
+// checks every trace against the lease: the chunk's VM as source and the
+// leased target at that position as destination.
 package dispatch
 
 import (

@@ -7,9 +7,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,7 +70,7 @@ func smallCampaign(t *testing.T, sys *cloudmap.System) campaignArgs {
 func runLocal(t *testing.T, sys *cloudmap.System, ca campaignArgs, workers int) ([]probe.Trace, probe.CampaignStats) {
 	t.Helper()
 	var traces []probe.Trace
-	stats, err := sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, ca.vms, ca.targets, workers, ca.pol, 1, func(tr probe.Trace) {
+	stats, err := sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, nil, ca.vms, ca.targets, workers, ca.pol, 1, func(tr probe.Trace) {
 		traces = append(traces, tr)
 	})
 	if err != nil {
@@ -135,7 +138,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	defer ctl.Close()
 
 	var traces []probe.Trace
-	stats, err := ctl.Campaign(context.Background(), nil, nil, sys.Prober, ca.vms, ca.targets, 3, ca.pol, 1, func(tr probe.Trace) {
+	stats, err := sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, ctl, ca.vms, ca.targets, 3, ca.pol, 1, func(tr probe.Trace) {
 		traces = append(traces, tr)
 	})
 	if err != nil {
@@ -171,7 +174,7 @@ func TestNoLiveAgentsFallsBackLocal(t *testing.T) {
 	defer ctl.Close()
 
 	var traces []probe.Trace
-	stats, err := ctl.Campaign(context.Background(), nil, nil, sys.Prober, ca.vms, ca.targets, 2, ca.pol, 1, func(tr probe.Trace) {
+	stats, err := sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, ctl, ca.vms, ca.targets, 2, ca.pol, 1, func(tr probe.Trace) {
 		traces = append(traces, tr)
 	})
 	if err != nil {
@@ -203,7 +206,7 @@ func TestFingerprintMismatchKeepsAgentOut(t *testing.T) {
 	defer ctl.Close()
 
 	var traces []probe.Trace
-	_, err := ctl.Campaign(context.Background(), nil, nil, sys.Prober, ca.vms, ca.targets, 2, ca.pol, 1, func(tr probe.Trace) {
+	_, err := sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, ctl, ca.vms, ca.targets, 2, ca.pol, 1, func(tr probe.Trace) {
 		traces = append(traces, tr)
 	})
 	if err != nil {
@@ -277,5 +280,103 @@ func TestTargetsCRC(t *testing.T) {
 	}
 	if dispatch.TargetsCRC(a) == dispatch.TargetsCRC([]netblock.IP{1, 2, 4}) {
 		t.Error("CRC content-insensitive")
+	}
+}
+
+// TestForgedLeaseResultRejected: an agent reply is outside input. A relay
+// that hands the real agent a rotated target list (with a matching CRC)
+// gets back a complete, well-framed result for the wrong targets; the
+// controller must refuse every such lease and run the chunks locally, so
+// the campaign still equals the in-process one.
+func TestForgedLeaseResultRejected(t *testing.T) {
+	sys, cfg := world(t)
+	ca := smallCampaign(t, sys)
+	ca.vms, ca.targets = ca.vms[:2], ca.targets[:2*1024+100]
+	wantTraces, wantStats := runLocal(t, sys, ca, 2)
+
+	fp := dispatch.Fingerprint(cfg.Topology, cfg.Faults)
+	upstream := newAgentServer(t, sys, "a1", fp)
+	relay := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			resp, err := http.Get(upstream.URL + r.URL.Path)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadGateway)
+				return
+			}
+			defer resp.Body.Close()
+			w.WriteHeader(resp.StatusCode)
+			io.Copy(w, resp.Body)
+			return
+		}
+		var lease dispatch.Lease
+		if err := json.NewDecoder(r.Body).Decode(&lease); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		lease.Targets = append(lease.Targets[1:], lease.Targets[0])
+		lease.TargetsCRC = dispatch.TargetsCRC(lease.Targets)
+		body, _ := json.Marshal(lease)
+		resp, err := http.Post(upstream.URL+r.URL.Path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		for k, v := range resp.Header {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	}))
+	t.Cleanup(relay.Close)
+	ctl := dispatch.NewController(fastOptions(relay.URL), fp)
+	defer ctl.Close()
+
+	var traces []probe.Trace
+	stats, err := sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, ctl, ca.vms, ca.targets, 2, ca.pol, 1, func(tr probe.Trace) {
+		traces = append(traces, tr)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(traces, wantTraces) || !reflect.DeepEqual(stats, wantStats) {
+		t.Fatal("forged lease results reached the sink")
+	}
+	chunks := int64(len(probe.ChunkCampaign(ca.vms, ca.targets)))
+	st := ctl.Stats()
+	if st.ChunksLocal != chunks {
+		t.Errorf("%d of %d chunks ran locally, want all", st.ChunksLocal, chunks)
+	}
+	if st.LeaseFailures == 0 || st.LeaseFailures != st.LeasesGranted {
+		t.Errorf("%d lease failures of %d leases, want every lease refused", st.LeaseFailures, st.LeasesGranted)
+	}
+}
+
+// TestDeadFleetLogsOnce: chunks that find no live agent decline one by
+// one, but the outage is logged once, not once per chunk.
+func TestDeadFleetLogsOnce(t *testing.T) {
+	sys, cfg := world(t)
+	ca := smallCampaign(t, sys)
+	ca.vms, ca.targets = ca.vms[:2], ca.targets[:3*1024]
+
+	var logBuf bytes.Buffer
+	opts := fastOptions("http://127.0.0.1:1") // reserved port: nothing listens
+	opts.Log = slog.New(slog.NewJSONHandler(&logBuf, nil))
+	ctl := dispatch.NewController(opts, dispatch.Fingerprint(cfg.Topology, cfg.Faults))
+	defer ctl.Close()
+	for range 2 {
+		if _, err := sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, ctl, ca.vms, ca.targets, 2, ca.pol, 1, func(probe.Trace) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := ctl.Stats().ChunksLocal, int64(2*len(probe.ChunkCampaign(ca.vms, ca.targets))); got != want {
+		t.Errorf("%d chunks ran locally, want %d", got, want)
+	}
+	logs := logBuf.String()
+	if n := strings.Count(logs, `"msg":"no live agents"`); n != 1 {
+		t.Errorf("dead fleet logged %d \"no live agents\" records, want 1:\n%s", n, logs)
+	}
+	if strings.Contains(logs, `"msg":"chunk running locally"`) {
+		t.Errorf("dead fleet logged per-chunk fallbacks:\n%s", logs)
 	}
 }

@@ -196,7 +196,7 @@ func TestFleetStates(t *testing.T) {
 		}
 	}
 
-	if _, err := ctl.Campaign(context.Background(), nil, nil, sys.Prober, ca.vms, ca.targets, 2, ca.pol, 1, func(probe.Trace) {}); err != nil {
+	if _, err := sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, ctl, ca.vms, ca.targets, 2, ca.pol, 1, func(probe.Trace) {}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -245,7 +245,7 @@ func (p *Prober) traceRetry(sp *obs.Span, prog *obs.Progress, sc *tracer, vm rou
 // serial Campaign: every probe runs at virtual time zero and the stats
 // carry only probe counts.
 func (p *Prober) CampaignRetryCtx(ctx context.Context, vms []VMRef, targets []netblock.IP, workers int, pol RetryPolicy, epoch uint64, sink TraceSink) (CampaignStats, error) {
-	return p.CampaignRetryObsCtx(ctx, nil, nil, vms, targets, workers, pol, epoch, sink)
+	return p.CampaignRetryObsCtx(ctx, nil, nil, nil, vms, targets, workers, pol, epoch, sink)
 }
 
 // chunkAttrs digests one chunk's campaign stats into journal attrs. All
@@ -404,12 +404,26 @@ func (a *hopArena) keep(hops []Hop) []Hop {
 	return a.block[start:len(a.block):len(a.block)]
 }
 
-// CampaignRetryObsCtx is CampaignRetryCtx with observability: each work
-// chunk runs under a span (kind "chunk", keyed by the deterministic chunk
-// index, placed on the Chrome lane of the worker that executed it), fault
-// classifications and retry attempts become journal events on that span,
-// and retries burn down prog's live retry-budget gauge. sp and prog may be
-// nil (no-ops); the hot path then pays one nil check per probe.
+// ChunkExecutor runs campaign chunks outside this process. For each chunk
+// RunChunk either returns the chunk's traces and stats (ok), declines
+// (!ok, nil error) so the campaign runs the chunk locally, or returns an
+// error, which ends the campaign; errors are for cancellation only. targets
+// holds exactly the chunk's targets and budget its retry-budget share
+// (negative = unlimited). A chunk's result must be the one local execution
+// would produce, so the executor cannot change what the campaign delivers.
+type ChunkExecutor interface {
+	RunChunk(ctx context.Context, sp *obs.Span, wc WorkChunk, targets []netblock.IP, pol RetryPolicy, epoch uint64, budget int64) (traces []Trace, stats CampaignStats, ok bool, err error)
+}
+
+// CampaignRetryObsCtx is CampaignRetryCtx with observability and an
+// optional remote executor: each work chunk runs under a span (kind
+// "chunk", keyed by the deterministic chunk index, placed on the Chrome
+// lane of the worker that executed it), fault classifications and retry
+// attempts become journal events on that span, and retries burn down
+// prog's live retry-budget gauge. sp and prog may be nil (no-ops); the hot
+// path then pays one nil check per probe. remote, when non-nil, is offered
+// every chunk first; chunks it declines run locally. Nil runs every chunk
+// locally.
 //
 // Targets are resolved once for every VM and retry attempt. Chunk trace
 // batches cycle through a free list: ordered.Run keeps at most 2×workers
@@ -417,7 +431,7 @@ func (a *hopArena) keep(hops []Hop) []Hop {
 // cleared after delivery, so a pooled batch never pins a hop arena; sinks
 // get each Trace by value, so reusing the batch cannot change what they
 // kept.
-func (p *Prober) CampaignRetryObsCtx(ctx context.Context, sp *obs.Span, prog *obs.Progress, vms []VMRef, targets []netblock.IP, workers int, pol RetryPolicy, epoch uint64, sink TraceSink) (CampaignStats, error) {
+func (p *Prober) CampaignRetryObsCtx(ctx context.Context, sp *obs.Span, prog *obs.Progress, remote ChunkExecutor, vms []VMRef, targets []netblock.IP, workers int, pol RetryPolicy, epoch uint64, sink TraceSink) (CampaignStats, error) {
 	pol = pol.withDefaults()
 	chunks := ChunkCampaign(vms, targets)
 	dests := p.resolve(targets)
@@ -429,13 +443,19 @@ func (p *Prober) CampaignRetryObsCtx(ctx context.Context, sp *obs.Span, prog *ob
 	var total CampaignStats
 	err := ordered.Run(ctx, len(chunks), workers, func(i, lane int) (result, error) {
 		c := chunks[i]
+		share := ChunkRetryBudget(pol.Budget, len(chunks), i)
+		if remote != nil {
+			traces, cs, ok, err := remote.RunChunk(ctx, sp, c, targets[c.From:c.To], pol, epoch, share)
+			if err != nil || ok {
+				return result{traces, cs}, err
+			}
+		}
 		var batch []Trace
 		select {
 		case batch = <-free:
 		default:
 			batch = make([]Trace, 0, campaignChunk)
 		}
-		share := ChunkRetryBudget(pol.Budget, len(chunks), i)
 		traces, cs, err := p.runChunk(ctx, sp, prog, c, dests[c.From:c.To], pol, epoch, share, lane, batch)
 		return result{traces, cs}, err
 	}, func(_ int, r result) error {

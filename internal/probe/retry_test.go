@@ -2,6 +2,8 @@ package probe
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -9,6 +11,8 @@ import (
 
 	"cloudmap/internal/faults"
 	"cloudmap/internal/netblock"
+	"cloudmap/internal/obs"
+	"cloudmap/internal/route"
 )
 
 func moderateTestPlan() *faults.Plan {
@@ -317,5 +321,86 @@ func TestCampaignRetryChunkErrorReturns(t *testing.T) {
 		if want := len(targets); delivered != want {
 			t.Fatalf("workers=%d: delivered %d traces before the failing chunk, want %d", workers, delivered, want)
 		}
+	}
+}
+
+// stubExecutor serves even-indexed chunks from its own prober and declines
+// odd ones, recording the budget share each call receives. failAt, when
+// non-negative, names a chunk whose call fails instead.
+type stubExecutor struct {
+	p      *Prober
+	failAt int
+
+	mu      sync.Mutex
+	budgets map[int]int64
+}
+
+var errStubExecutor = errors.New("stub executor: cancelled")
+
+func (s *stubExecutor) RunChunk(ctx context.Context, sp *obs.Span, wc WorkChunk, targets []netblock.IP, pol RetryPolicy, epoch uint64, budget int64) ([]Trace, CampaignStats, bool, error) {
+	s.mu.Lock()
+	s.budgets[wc.Index] = budget
+	s.mu.Unlock()
+	switch {
+	case wc.Index == s.failAt:
+		return nil, CampaignStats{}, false, errStubExecutor
+	case wc.Index%2 == 1:
+		return nil, CampaignStats{}, false, nil
+	}
+	traces, cs, err := s.p.RunChunkObs(ctx, sp, nil, wc, targets, pol, epoch, budget, 0)
+	return traces, cs, err == nil, err
+}
+
+// TestCampaignChunkExecutor: the remote-executor seam. Chunks served by a
+// second prober over the same world and chunks declined back to the local
+// engine merge into exactly the nil-executor campaign, at one worker and
+// at four; every call receives its chunk's budget share; and an executor
+// error ends the campaign with that error.
+func TestCampaignChunkExecutor(t *testing.T) {
+	tp, p := newProber(t)
+	remote := NewProber(tp, route.NewForwarder(tp))
+	for _, pr := range []*Prober{p, remote} {
+		inj, err := faults.New(moderateTestPlan(), tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr.SetFaults(inj)
+	}
+	targets := Round1Targets(tp, Round1Options{})[:2500] // three chunks per VM
+	vms := p.VMs("amazon")[:2]
+	pol := RetryPolicy{MaxAttempts: 3, BackoffSec: 1, BackoffFactor: 2, Budget: 101}
+	n := len(ChunkCampaign(vms, targets))
+
+	run := func(ex ChunkExecutor, workers int) ([]Trace, CampaignStats, error) {
+		var out []Trace
+		stats, err := p.CampaignRetryObsCtx(context.Background(), nil, nil, ex, vms, targets, workers, pol, 1, func(tr Trace) { out = append(out, tr) })
+		return out, stats, err
+	}
+	want, wantStats, err := run(nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		ex := &stubExecutor{p: remote, failAt: -1, budgets: map[int]int64{}}
+		got, stats, err := run(ex, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(stats, wantStats) {
+			t.Fatalf("workers=%d: executor campaign differs from the local one", workers)
+		}
+		if len(ex.budgets) != n {
+			t.Fatalf("workers=%d: executor saw %d of %d chunks", workers, len(ex.budgets), n)
+		}
+		for i := 0; i < n; i++ {
+			if b, want := ex.budgets[i], ChunkRetryBudget(pol.Budget, n, i); b != want {
+				t.Errorf("workers=%d: chunk %d got budget %d, want %d", workers, i, b, want)
+			}
+		}
+	}
+	const k = 3
+	_, _, err = run(&stubExecutor{p: remote, failAt: k, budgets: map[int]int64{}}, 4)
+	if !errors.Is(err, errStubExecutor) {
+		t.Fatalf("executor failing chunk %d: campaign err = %v, want %v", k, err, errStubExecutor)
 	}
 }

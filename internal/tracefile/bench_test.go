@@ -14,7 +14,7 @@ import (
 const benchTraceCount = 50000
 
 // The "binary" sub-benchmark names predate the single encoding; they stay
-// so BENCH_pipeline.json records remain comparable across versions.
+// so benchmark results remain comparable across versions.
 func BenchmarkTracefileEncode(b *testing.B) { b.Run("binary", benchEncode) }
 
 func benchEncode(b *testing.B) {

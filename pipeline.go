@@ -38,6 +38,7 @@ import (
 	"cloudmap/internal/registry"
 	"cloudmap/internal/tracefile"
 	"cloudmap/internal/verify"
+	"cloudmap/internal/vpi"
 )
 
 // RunOptions tunes RunPipeline beyond the pipeline Config.
@@ -306,8 +307,8 @@ type pipeState struct {
 	hyg *datasets.View
 	// prog is the live progress view (nil when no ticker/debug server).
 	prog *obs.Progress
-	// disp, when non-nil, leases campaign chunks to remote agents (with
-	// local fallback); nil probes in-process.
+	// disp, when non-nil, leases campaign chunks to remote agents (chunks
+	// it declines run locally); nil probes in-process.
 	disp *dispatch.Controller
 
 	// summary is filled by the evaluate stage and lands in the manifest.
@@ -707,13 +708,11 @@ func (s *pipeState) probeRound(ctx context.Context, sc *pipeline.StageContext, s
 	}
 	s.prog.AddPlanned(int64(len(s.vms)) * int64(len(targets)))
 	s.prog.SetRetryBudget(s.cfg.Retry.Budget)
-	var stats probe.CampaignStats
-	var err error
+	var remote probe.ChunkExecutor
 	if s.disp != nil {
-		stats, err = s.disp.Campaign(ctx, sc.Span(), s.prog, s.sys.Prober, s.vms, targets, s.cfg.Workers, s.cfg.Retry, epoch, sink)
-	} else {
-		stats, err = s.sys.Prober.CampaignRetryObsCtx(ctx, sc.Span(), s.prog, s.vms, targets, s.cfg.Workers, s.cfg.Retry, epoch, sink)
+		remote = s.disp
 	}
+	stats, err := s.sys.Prober.CampaignRetryObsCtx(ctx, sc.Span(), s.prog, remote, s.vms, targets, s.cfg.Workers, s.cfg.Retry, epoch, sink)
 	flushSink()
 	if fw != nil {
 		if err != nil {
@@ -944,7 +943,11 @@ func (s *pipeState) pinning(_ context.Context, sc *pipeline.StageContext) error 
 
 // vpi is the §7.1 multi-cloud overlap detection.
 func (s *pipeState) vpi(_ context.Context, sc *pipeline.StageContext) error {
-	s.res.VPI = detectVPIs(s.sys, s.reg(), s.res, s.cfg.VPIClouds)
+	res, err := vpi.Detect(s.sys.Prober, s.reg(), s.res.Border, s.cfg.VPIClouds)
+	if err != nil {
+		return err
+	}
+	s.res.VPI = res
 	sc.Counter("clouds").Add(int64(len(s.cfg.VPIClouds)))
 	sc.Counter("vpi-cbis").Add(int64(len(s.res.VPI.VPICBIs)))
 	return nil

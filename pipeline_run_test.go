@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cloudmap/internal/pipeline"
@@ -368,4 +369,29 @@ func TestResumeWorkerInvariance(t *testing.T) {
 			t.Fatalf("workers=%d: resumed report diverged from the fresh run", workers)
 		}
 	}
+}
+
+// TestUnknownVPICloudFailsStage: a foreign cloud the world does not have
+// is a configuration error. The run fails naming it and the manifest
+// records the vpi stage as failed, instead of an empty Table 4 under a
+// successful stage.
+func TestUnknownVPICloudFailsStage(t *testing.T) {
+	cfg := SmallConfig()
+	cfg.VPIClouds = []string{"microsoft", "azure"}
+	res, rep, err := RunPipeline(context.Background(), nil, cfg, RunOptions{})
+	if err == nil || !strings.Contains(err.Error(), `"azure"`) {
+		t.Fatalf("error = %v, want one naming the unknown cloud \"azure\"", err)
+	}
+	if res != nil {
+		t.Fatal("failed run returned a result")
+	}
+	for _, st := range rep.Manifest.Stages {
+		if st.Name == "vpi" {
+			if st.Status != pipeline.StatusFailed {
+				t.Fatalf("vpi stage status %q, want %q", st.Status, pipeline.StatusFailed)
+			}
+			return
+		}
+	}
+	t.Fatal("vpi stage missing from the manifest")
 }

@@ -39,12 +39,12 @@ echo "==> chunk scheduler race leg (-race -count=10)"
 # The scheduler and the campaign, fleet and replay paths built on it:
 # order, error choice and cancellation are timing-dependent, so run them
 # repeatedly under the race detector. The campaign and egress-memo tests
-# also exercise the forwarder's lock-free egress table and the recycled
-# chunk trace batches. Each dispatch campaign test probes a full round-1
-# campaign twice (~40 s a run under -race on 2 vCPUs), so those two run
-# three times rather than ten.
+# also exercise the forwarder's lock-free egress table, the recycled
+# chunk trace batches and the remote chunk-executor seam. Each dispatch
+# campaign test probes a full round-1 campaign twice (~40 s a run under
+# -race on 2 vCPUs), so those two run three times rather than ten.
 go test -race -count=10 ./internal/ordered
-go test -race -count=10 -run 'TestCampaignRetryChunkErrorReturns|TestCampaignRetryWorkerInvariance' ./internal/probe
+go test -race -count=10 -run 'TestCampaignRetryChunkErrorReturns|TestCampaignRetryWorkerInvariance|TestCampaignChunkExecutor' ./internal/probe
 go test -race -count=10 -run 'TestEgressMemoFillOrder' ./internal/route
 go test -race -count=10 -run 'TestReplayParallelCancel' ./internal/tracefile
 go test -race -count=3 -run 'TestDistributedMatchesLocal|TestNoLiveAgentsFallsBackLocal' -timeout 20m ./internal/dispatch
