@@ -10,7 +10,6 @@
 //	          [-state-dir DIR] [-checkpoint-every N]
 //	          [-epoch-timeout 0s] [-epoch-retries 2] [-retry-backoff 1s]
 //	          [-history-limit N] [-watch-keepalive 30s]
-//	          [-checkpoint-dir DIR] [-epoch-journal j.jsonl]
 //	          [-drain-timeout 30s] [-log-level info]
 //	          [-agents URL,URL,...] [-lease-timeout 60s]
 //
@@ -93,8 +92,6 @@ func main() {
 	retryBackoff := flag.Duration("retry-backoff", time.Second, "pause before the first retry, doubling per retry")
 	historyLimit := flag.Int("history-limit", 0, "retain at most N epochs of deltas; older askers are told to resync (0 = unlimited)")
 	watchKeepalive := flag.Duration("watch-keepalive", 0, "SSE comment interval on idle /v1/watch streams (0 = 30s, negative disables)")
-	checkpointDir := flag.String("checkpoint-dir", "", "persist probing rounds here so dataset-only epochs replay instead of re-probing (superseded by -state-dir)")
-	epochJournal := flag.String("epoch-journal", "", "append one deterministic CRC-framed JSON line per epoch (stage statuses, input hashes, map deltas) to this file (superseded by -state-dir)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight HTTP requests at shutdown")
 	agents := flag.String("agents", "", "comma-separated cloudmapagent base URLs (e.g. http://127.0.0.1:7091,http://127.0.0.1:7092); probing campaigns dispatch chunks to the fleet, falling back to local execution when no agent can finish a chunk")
 	leaseTimeout := flag.Duration("lease-timeout", 0, "per-lease deadline for dispatched chunks; a straggling agent is marked lost and the chunk re-dispatches (0 = 60s)")
@@ -144,8 +141,6 @@ func main() {
 		RetryBackoff:    *retryBackoff,
 		HistoryLimit:    *historyLimit,
 		WatchKeepalive:  *watchKeepalive,
-		CheckpointDir:   *checkpointDir,
-		JournalPath:     *epochJournal,
 		Agents:          splitAgents(*agents),
 		LeaseTimeout:    *leaseTimeout,
 		Metrics:         reg,

@@ -20,7 +20,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 
 	"cloudmap/internal/datasets"
@@ -101,11 +100,6 @@ type Session struct {
 // NewSession generates the world for cfg and prepares the epoch state.
 func NewSession(cfg Config, opts SessionOptions) (*Session, error) {
 	cfg = cfg.withDefaults()
-	if opts.CheckpointDir != "" {
-		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
-			return nil, fmt.Errorf("cloudmap: checkpoint dir: %w", err)
-		}
-	}
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		return nil, err
@@ -114,18 +108,9 @@ func NewSession(cfg Config, opts SessionOptions) (*Session, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	st := &pipeState{
-		cfg:          cfg,
-		opts:         RunOptions{CheckpointDir: opts.CheckpointDir, Progress: opts.Progress},
-		sys:          sys,
-		prog:         opts.Progress,
-		epochMode:    true,
-		stageHash:    make(map[string]string),
-		probePlanNow: make(map[string]string),
-		probeGate:    make(map[string]string),
-	}
-	if opts.Dispatch != nil {
-		st.disp = dispatch.NewController(*opts.Dispatch, dispatch.Fingerprint(cfg.Topology, cfg.Faults))
+	st, err := newPipeState(cfg, RunOptions{CheckpointDir: opts.CheckpointDir, Progress: opts.Progress, Dispatch: opts.Dispatch}, sys)
+	if err != nil {
+		return nil, err
 	}
 	return &Session{cfg: cfg, opts: opts, sys: sys, st: st, reg: reg, prev: make(map[string]string)}, nil
 }
@@ -133,11 +118,7 @@ func NewSession(cfg Config, opts SessionOptions) (*Session, error) {
 // Close releases session resources: the dispatch controller's heartbeat
 // loop, when distributed probing is configured. Safe on a nil-dispatch
 // session and safe to call repeatedly.
-func (s *Session) Close() {
-	if s.st.disp != nil {
-		s.st.disp.Close()
-	}
-}
+func (s *Session) Close() { s.st.close() }
 
 // Dispatch exposes the session's dispatch controller; nil when probing runs
 // in-process. The daemon reads its Stats for the status surface.
@@ -258,18 +239,12 @@ func (s *pipeState) probePlanHash(extra ...string) string {
 }
 
 func (s *pipeState) topoGenHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("topo-gen", shortHash("topo-gen", canonJSON(s.cfg.Topology)))
 }
 
 // datasetsInputHash serializes the (possibly churned) registry and hashes
 // each dataset file; the serialization is cached for the stage's Run.
 func (s *pipeState) datasetsInputHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	corpus := datasets.Serialize(s.sys.Registry, s.cfg.Topology.Seed, s.cfg.Dirty)
 	s.corpus = corpus
 	s.dsHash = make(map[string]string, len(datasets.Datasets))
@@ -283,24 +258,15 @@ func (s *pipeState) datasetsInputHash() string {
 }
 
 func (s *pipeState) campaignHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	s.probePlanNow["campaign"] = s.probePlanHash("round1", fmt.Sprint(s.cfg.IncludePrivateTargets))
 	return s.put("campaign", shortHash("campaign", s.probePlanNow["campaign"], s.annotationHash()))
 }
 
 func (s *pipeState) borderHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("border", shortHash("border", s.stageHash["campaign"]))
 }
 
 func (s *pipeState) expansionHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	// The expansion target set derives from round-1 inference; its hash
 	// gates checkpoint replay separately from the stage hash (a changed
 	// candidate set must re-probe even though the fault plan is unchanged).
@@ -310,23 +276,14 @@ func (s *pipeState) expansionHash() string {
 }
 
 func (s *pipeState) aliasHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("alias", shortHash("alias", s.stageHash["expansion"], canonJSON(s.cfg.Midar)))
 }
 
 func (s *pipeState) verifyHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("verify", shortHash("verify", s.stageHash["alias"], canonJSON(s.cfg.Verify)))
 }
 
 func (s *pipeState) pinningHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("pinning", shortHash("pinning",
 		s.stageHash["verify"],
 		s.dsHash[datasets.DSFacilities], s.dsHash[datasets.DSRDNS],
@@ -334,46 +291,28 @@ func (s *pipeState) pinningHash() string {
 }
 
 func (s *pipeState) vpiHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("vpi", shortHash("vpi",
 		s.stageHash["expansion"], canonJSON(s.cfg.VPIClouds), s.dsHash[datasets.DSClouds]))
 }
 
 func (s *pipeState) classifyHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("classify", shortHash("classify",
 		s.stageHash["verify"], s.stageHash["pinning"], s.stageHash["vpi"],
 		s.dsHash[datasets.DSASRel], s.dsHash[datasets.DSCones], s.dsHash[datasets.DSRDNS]))
 }
 
 func (s *pipeState) icgHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("icg", shortHash("icg", s.stageHash["verify"], s.stageHash["pinning"]))
 }
 
 func (s *pipeState) bdrmapHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("bdrmap", shortHash("bdrmap", s.stageHash["verify"], canonJSON(s.cfg.Bdrmap)))
 }
 
 func (s *pipeState) invariantsHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("invariants", shortHash("invariants", s.stageHash["classify"], s.stageHash["icg"]))
 }
 
 func (s *pipeState) evaluateHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("evaluate", shortHash("evaluate", s.stageHash["invariants"], s.stageHash["bdrmap"]))
 }

@@ -96,3 +96,38 @@ func TestSessionReportEvenOnCancel(t *testing.T) {
 		t.Fatalf("epoch after cancelled epoch hash-skipped %d stages: %v", n, rep2.StagesSkipped())
 	}
 }
+
+// A one-shot run fingerprints its stages exactly as a Session's first epoch
+// does: both go through the same input-hash hooks, so the manifest's
+// per-stage input_hash values equal epoch 1's.
+func TestOneShotInputHashesMatchEpochOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("double pipeline run skipped in -short mode")
+	}
+	cfg := SmallConfig()
+	_, rep, err := RunPipeline(context.Background(), nil, cfg, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(cfg, SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, erep, err := s.RunEpoch(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochHash := map[string]string{}
+	for _, sr := range erep.Stages {
+		epochHash[sr.Name] = sr.InputHash
+	}
+	for _, sr := range rep.Manifest.Stages {
+		if sr.InputHash == "" {
+			t.Errorf("one-shot stage %s (%s) carries no input hash", sr.Name, sr.Status)
+		}
+		if sr.InputHash != epochHash[sr.Name] {
+			t.Errorf("stage %s: one-shot input hash %q, epoch 1 %q", sr.Name, sr.InputHash, epochHash[sr.Name])
+		}
+	}
+}

@@ -38,6 +38,7 @@ import (
 	"cloudmap/internal/netblock"
 	"cloudmap/internal/obs"
 	"cloudmap/internal/registry"
+	"cloudmap/internal/rng"
 )
 
 // Dataset names. Each is one file in the serialized corpus.
@@ -310,31 +311,10 @@ const staleAgeSec int64 = 3 * 365 * 86400
 
 const freshWindowSec int64 = 180 * 86400
 
-// mix64 is SplitMix64's finaliser (the simulator's standard cheap hash).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// strHash folds a string into the running hash.
-func strHash(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = mix64(h ^ uint64(s[i]))
-	}
-	return h
-}
-
-// unit maps a hash onto [0, 1).
-func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
-
 // recordTS stamps one record deterministically inside the fresh window.
 func recordTS(seed uint64, ds, key string) int64 {
-	h := strHash(strHash(mix64(seed^0xda7a5e7), ds), key)
-	return baseUnix - int64(unit(h)*float64(freshWindowSec))
+	h := rng.StrHash(rng.StrHash(rng.Mix64(seed^0xda7a5e7), ds), key)
+	return baseUnix - int64(rng.Unit(h)*float64(freshWindowSec))
 }
 
 // bogonASN reports whether an ASN is implausible in a public dataset: AS0,

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"cloudmap/internal/rng"
 )
 
 // Dirt is the corruption profile of one dataset. Fractions are independent
@@ -138,14 +140,14 @@ func dirtierFor(plan *DirtyPlan, seed uint64, ds string) dirtier {
 	if plan == nil {
 		return dirtier{ds: ds}
 	}
-	return dirtier{d: plan.Datasets[ds], seed: mix64(plan.Seed ^ seed ^ 0xd127), ds: ds}
+	return dirtier{d: plan.Datasets[ds], seed: rng.Mix64(plan.Seed ^ seed ^ 0xd127), ds: ds}
 }
 
 // draw is the per-(record, dimension) coin: a pure function of the plan
 // seed, topology seed, dataset, record key, and dimension salt — never of
 // serialization order.
 func (dt dirtier) draw(salt uint64, key string) float64 {
-	return unit(strHash(strHash(mix64(dt.seed^salt), dt.ds), key))
+	return rng.Unit(rng.StrHash(rng.StrHash(rng.Mix64(dt.seed^salt), dt.ds), key))
 }
 
 func (dt dirtier) drop(key string) bool {

@@ -667,10 +667,17 @@ func (c *Controller) lease(ctx context.Context, a *agentState, span string, wc p
 		return nil, probe.CampaignStats{}, nil, fmt.Errorf("dispatch: lease %s refused by %s: %s (%s)", lease.ID, a.url, resp.Status, bytes.TrimSpace(msg))
 	}
 
+	// The agent answered, but a reply that fails validation comes from a
+	// broken or forging agent: bench it like a lost one so later chunks stop
+	// spending their attempts on it (healthy heartbeats re-admit it).
+	invalid := func(err error) ([]probe.Trace, probe.CampaignStats, *obs.JournalEvents, error) {
+		c.cFailed.Inc()
+		c.markDown(a, "invalid lease reply")
+		return nil, probe.CampaignStats{}, nil, err
+	}
 	var stats probe.CampaignStats
 	if err := json.Unmarshal([]byte(resp.Header.Get(hdrStats)), &stats); err != nil {
-		c.cFailed.Inc()
-		return nil, probe.CampaignStats{}, nil, fmt.Errorf("dispatch: lease %s stats frame: %w", lease.ID, err)
+		return invalid(fmt.Errorf("dispatch: lease %s stats frame: %w", lease.ID, err))
 	}
 	if s := resp.Header.Get(hdrAgentStats); s != "" {
 		var ast AgentStats
@@ -682,8 +689,7 @@ func (c *Controller) lease(ctx context.Context, a *agentState, span string, wc p
 	if err != nil {
 		// A corrupt span frame means the result cannot splice into the
 		// journal; treat the lease as failed so the chunk re-executes.
-		c.cFailed.Inc()
-		return nil, probe.CampaignStats{}, nil, fmt.Errorf("dispatch: lease %s span frame: %w", lease.ID, err)
+		return invalid(fmt.Errorf("dispatch: lease %s span frame: %w", lease.ID, err))
 	}
 	payload, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -694,19 +700,16 @@ func (c *Controller) lease(ctx context.Context, a *agentState, span string, wc p
 	traces := make([]probe.Trace, 0, len(targets))
 	sum, err := tracefile.Replay(bytes.NewReader(payload), func(tr probe.Trace) { traces = append(traces, tr) })
 	if err != nil {
-		c.cFailed.Inc()
-		return nil, probe.CampaignStats{}, nil, fmt.Errorf("dispatch: lease %s result frame: %w", lease.ID, err)
+		return invalid(fmt.Errorf("dispatch: lease %s result frame: %w", lease.ID, err))
 	}
 	if !sum.Complete || len(traces) != len(targets) {
-		c.cFailed.Inc()
-		return nil, probe.CampaignStats{}, nil, fmt.Errorf("dispatch: lease %s returned %d/%d traces (complete=%v)", lease.ID, len(traces), len(targets), sum.Complete)
+		return invalid(fmt.Errorf("dispatch: lease %s returned %d/%d traces (complete=%v)", lease.ID, len(traces), len(targets), sum.Complete))
 	}
 	// The reply is outside input: a well-framed result for the wrong
 	// vantage or targets must not reach the sink.
 	for i, tr := range traces {
 		if tr.Src != wc.VM || tr.Dst != targets[i] {
-			c.cFailed.Inc()
-			return nil, probe.CampaignStats{}, nil, fmt.Errorf("dispatch: lease %s trace %d is %s→%s, want %s→%s", lease.ID, i, tr.Src, tr.Dst, wc.VM, targets[i])
+			return invalid(fmt.Errorf("dispatch: lease %s trace %d is %s→%s, want %s→%s", lease.ID, i, tr.Src, tr.Dst, wc.VM, targets[i]))
 		}
 	}
 	return traces, stats, spans, nil

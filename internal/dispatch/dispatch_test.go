@@ -296,39 +296,7 @@ func TestForgedLeaseResultRejected(t *testing.T) {
 
 	fp := dispatch.Fingerprint(cfg.Topology, cfg.Faults)
 	upstream := newAgentServer(t, sys, "a1", fp)
-	relay := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet {
-			resp, err := http.Get(upstream.URL + r.URL.Path)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadGateway)
-				return
-			}
-			defer resp.Body.Close()
-			w.WriteHeader(resp.StatusCode)
-			io.Copy(w, resp.Body)
-			return
-		}
-		var lease dispatch.Lease
-		if err := json.NewDecoder(r.Body).Decode(&lease); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		lease.Targets = append(lease.Targets[1:], lease.Targets[0])
-		lease.TargetsCRC = dispatch.TargetsCRC(lease.Targets)
-		body, _ := json.Marshal(lease)
-		resp, err := http.Post(upstream.URL+r.URL.Path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		for k, v := range resp.Header {
-			w.Header()[k] = v
-		}
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-	}))
-	t.Cleanup(relay.Close)
+	relay := forgingRelay(t, upstream.URL)
 	ctl := dispatch.NewController(fastOptions(relay.URL), fp)
 	defer ctl.Close()
 
@@ -349,6 +317,83 @@ func TestForgedLeaseResultRejected(t *testing.T) {
 	}
 	if st.LeaseFailures == 0 || st.LeaseFailures != st.LeasesGranted {
 		t.Errorf("%d lease failures of %d leases, want every lease refused", st.LeaseFailures, st.LeasesGranted)
+	}
+}
+
+// forgingRelay fronts a real agent, passing heartbeats through untouched
+// but rotating every lease's target list before forwarding it, so each reply
+// is a well-framed, CRC-valid result for the wrong targets.
+func forgingRelay(t *testing.T, upstreamURL string) *httptest.Server {
+	t.Helper()
+	relay := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			resp, err := http.Get(upstreamURL + r.URL.Path)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadGateway)
+				return
+			}
+			defer resp.Body.Close()
+			w.WriteHeader(resp.StatusCode)
+			io.Copy(w, resp.Body)
+			return
+		}
+		var lease dispatch.Lease
+		if err := json.NewDecoder(r.Body).Decode(&lease); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		lease.Targets = append(lease.Targets[1:], lease.Targets[0])
+		lease.TargetsCRC = dispatch.TargetsCRC(lease.Targets)
+		body, _ := json.Marshal(lease)
+		resp, err := http.Post(upstreamURL+r.URL.Path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		for k, v := range resp.Header {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	}))
+	t.Cleanup(relay.Close)
+	return relay
+}
+
+// TestForgingAgentBenched: an agent whose lease replies fail validation is
+// benched on its first bad reply, so chunks stop leasing to it instead of
+// spending every attempt on it, and the campaign still matches a local run.
+func TestForgingAgentBenched(t *testing.T) {
+	sys, cfg := world(t)
+	ca := smallCampaign(t, sys)
+	ca.vms, ca.targets = ca.vms[:2], ca.targets[:2*1024+100]
+	const workers = 2
+	wantTraces, wantStats := runLocal(t, sys, ca, workers)
+
+	fp := dispatch.Fingerprint(cfg.Topology, cfg.Faults)
+	relay := forgingRelay(t, newAgentServer(t, sys, "a1", fp).URL)
+	opts := fastOptions(relay.URL)
+	opts.Heartbeat = time.Hour // no heartbeat re-admits the agent mid-test
+	ctl := dispatch.NewController(opts, fp)
+	defer ctl.Close()
+
+	var traces []probe.Trace
+	stats, err := sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, ctl, ca.vms, ca.targets, workers, ca.pol, 1, func(tr probe.Trace) {
+		traces = append(traces, tr)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(traces, wantTraces) || !reflect.DeepEqual(stats, wantStats) {
+		t.Fatal("forged lease results reached the sink")
+	}
+	st := ctl.Stats()
+	if st.AgentsLost != 1 {
+		t.Errorf("agents lost = %d, want the forging agent benched once", st.AgentsLost)
+	}
+	if st.LeasesGranted > workers {
+		t.Errorf("%d leases granted to a forging agent, want at most %d (one per in-flight chunk)", st.LeasesGranted, workers)
 	}
 }
 

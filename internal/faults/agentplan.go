@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"os"
 	"time"
+
+	"cloudmap/internal/rng"
 )
 
 // AgentPlan configures deterministic probe-agent chaos. The zero plan
@@ -153,7 +155,7 @@ func (p *AgentPlan) Bind(agentID string) (*AgentChaos, error) {
 	}
 	var idHash uint64 = saltAgentID
 	for _, b := range []byte(agentID) {
-		idHash = mix64(idHash ^ uint64(b))
+		idHash = rng.Mix64(idHash ^ uint64(b))
 	}
 	return &AgentChaos{plan: p.withDefaults(), seed: p.Seed ^ idHash}, nil
 }
@@ -167,8 +169,8 @@ func (c *AgentChaos) window(chunk int) uint64 {
 }
 
 func (c *AgentChaos) draw(salt uint64, chunk int) float64 {
-	h := mix64(mix64(c.seed^salt) ^ c.window(chunk))
-	return unit(h)
+	h := rng.Mix64(rng.Mix64(c.seed^salt) ^ c.window(chunk))
+	return rng.Unit(h)
 }
 
 // CrashOn reports whether the agent crashes when leased work in the given

@@ -34,6 +34,7 @@ import (
 
 	"cloudmap/internal/model"
 	"cloudmap/internal/netblock"
+	"cloudmap/internal/rng"
 )
 
 // Plan configures the fault model. The zero plan injects nothing; sections
@@ -279,7 +280,7 @@ func New(plan *Plan, t *model.Topology) (*Injector, error) {
 		in.limited = make([]bool, len(t.Routers))
 		for ri := range t.Routers {
 			in.limited[ri] = eligible(t.Routers[ri].Role) &&
-				unit(in.hash(uint64(ri), saltLimited)) < rl.RouterFrac
+				rng.Unit(in.hash(uint64(ri), saltLimited)) < rl.RouterFrac
 		}
 		in.admitProb = math.Min(1, rl.RatePPS/rl.DemandPPS)
 		in.burstAdmitProb = math.Min(1, (rl.RatePPS+rl.Burst)/rl.DemandPPS)
@@ -316,7 +317,7 @@ func (in *Injector) ScheduleSec(epoch uint64, vm uint64, dst netblock.IP) float6
 	if in == nil {
 		return 0
 	}
-	return unit(in.hash(saltSchedule, epoch, vm, uint64(dst))) * in.plan.VirtualSeconds
+	return rng.Unit(in.hash(saltSchedule, epoch, vm, uint64(dst))) * in.plan.VirtualSeconds
 }
 
 // ReplyVerdict decides whether a router's reply to one probe survives the
@@ -328,8 +329,8 @@ func (in *Injector) ReplyVerdict(r model.RouterID, dst netblock.IP, salt uint64,
 	}
 	if l := in.plan.Loss; l != nil {
 		w := window(tSec, l.WindowSec)
-		if unit(in.hash(saltLossWin, uint64(r), w)) < l.WindowProb &&
-			unit(in.hash(saltLossDrop, uint64(r), uint64(dst), salt, w)) < l.LossProb {
+		if rng.Unit(in.hash(saltLossWin, uint64(r), w)) < l.WindowProb &&
+			rng.Unit(in.hash(saltLossDrop, uint64(r), uint64(dst), salt, w)) < l.LossProb {
 			in.lost.Add(1)
 			return VerdictLost
 		}
@@ -340,10 +341,10 @@ func (in *Injector) ReplyVerdict(r model.RouterID, dst netblock.IP, salt uint64,
 		// Burst allowance: a window following an idle one starts with a
 		// full bucket. Idleness is itself a stable draw — the router's
 		// background demand fluctuates.
-		if unit(in.hash(saltIdle, uint64(r), w-1)) < 0.2 {
+		if rng.Unit(in.hash(saltIdle, uint64(r), w-1)) < 0.2 {
 			admit = in.burstAdmitProb
 		}
-		if unit(in.hash(saltRateAdmit, uint64(r), uint64(dst), salt, w)) >= admit {
+		if rng.Unit(in.hash(saltRateAdmit, uint64(r), uint64(dst), salt, w)) >= admit {
 			in.rateLimited.Add(1)
 			return VerdictRateLimited
 		}
@@ -361,7 +362,7 @@ func (in *Injector) LinkUp(l model.LinkID, tSec float64) bool {
 		return true
 	}
 	w := window(tSec, f.WindowSec)
-	if unit(in.hash(saltFlap, uint64(l), w)) >= f.FlapProb {
+	if rng.Unit(in.hash(saltFlap, uint64(l), w)) >= f.FlapProb {
 		return true
 	}
 	// The flap occupies the head of the window.
@@ -383,7 +384,7 @@ func (in *Injector) RegionUp(c model.CloudID, region int, tSec float64) bool {
 		return true
 	}
 	w := window(tSec, o.WindowSec)
-	if unit(in.hash(saltOutage, uint64(c)<<16|uint64(region), w)) < o.Prob {
+	if rng.Unit(in.hash(saltOutage, uint64(c)<<16|uint64(region), w)) < o.Prob {
 		in.outages.Add(1)
 		return false
 	}
@@ -416,19 +417,7 @@ func window(tSec, windowSec float64) uint64 {
 func (in *Injector) hash(parts ...uint64) uint64 {
 	h := in.seed
 	for _, v := range parts {
-		h = mix64(h ^ v)
+		h = rng.Mix64(h ^ v)
 	}
 	return h
 }
-
-// mix64 is SplitMix64's finaliser (the simulator's standard cheap hash).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }

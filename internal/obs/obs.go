@@ -26,6 +26,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"cloudmap/internal/rng"
 )
 
 // SpanID identifies a span. IDs are deterministic: a pure hash of the
@@ -40,30 +42,12 @@ func (id SpanID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
 // marshals map keys sorted.
 type Attrs map[string]string
 
-// mix64 is SplitMix64's finaliser, the repository's standard cheap hash.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// strHash folds a string into the running hash.
-func strHash(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = mix64(h ^ uint64(s[i]))
-	}
-	return h
-}
-
 // deriveID computes a child span/event ID from its hierarchical position.
 func deriveID(parent SpanID, kind, name string, key uint64) SpanID {
 	h := uint64(parent) ^ 0x9e3779b97f4a7c15
-	h = strHash(h, kind)
-	h = strHash(h, name)
-	return SpanID(mix64(h ^ key))
+	h = rng.StrHash(h, kind)
+	h = rng.StrHash(h, name)
+	return SpanID(rng.Mix64(h ^ key))
 }
 
 // journalEvent is one journal line. Only deterministic fields appear.

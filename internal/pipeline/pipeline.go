@@ -329,6 +329,11 @@ func (r *Runner[S]) Run(ctx context.Context, s *S, opts Options) ([]StageResult,
 			run.Event("stage", name, uint64(oi), obs.Attrs{"status": string(StatusSkippedDegraded)})
 			continue
 		}
+		// The stage's telemetry covers its input hashing too: a hook may do
+		// real work (serializing the datasets) that the Run hook then reuses.
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		start := time.Now()
 		// Incremental scheduling: fingerprint the stage's inputs (runs in
 		// DAG order, so upstream hashes from this epoch are visible) and
 		// hash-skip when nothing it reads has changed since its last clean
@@ -345,9 +350,6 @@ func (r *Runner[S]) Run(ctx context.Context, s *S, opts Options) ([]StageResult,
 
 		sp := run.Child("stage", name, uint64(oi))
 		sc := &StageContext{stage: name, reg: r.reg, span: sp, progress: opts.Progress}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
 
 		status := StatusOK
 		resumed, stageErr := invokeStage(ctx, st, s, sc, opts.Resume)

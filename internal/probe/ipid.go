@@ -5,6 +5,7 @@ import (
 
 	"cloudmap/internal/model"
 	"cloudmap/internal/netblock"
+	"cloudmap/internal/rng"
 	"cloudmap/internal/route"
 )
 
@@ -64,7 +65,7 @@ func (p *Prober) AliasProbeAt(ref VMRef, addr netblock.IP, tSec float64) (uint16
 	as := &p.t.ASes[router.AS]
 	// Per-probe loss.
 	h := p.hash(uint64(addr), math.Float64bits(tSec), 0x5555)
-	if unit(h) >= as.RespProb {
+	if rng.Unit(h) >= as.RespProb {
 		return 0, false
 	}
 	switch router.IPID {

@@ -16,6 +16,7 @@ import (
 	"cloudmap/internal/faults"
 	"cloudmap/internal/model"
 	"cloudmap/internal/netblock"
+	"cloudmap/internal/rng"
 	"cloudmap/internal/route"
 )
 
@@ -157,29 +158,18 @@ func (p *Prober) VMs(cloud string) []VMRef {
 	return out
 }
 
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 func (p *Prober) hash(parts ...uint64) uint64 {
 	h := p.seed
 	for _, v := range parts {
-		h = mix64(h ^ v)
+		h = rng.Mix64(h ^ v)
 	}
 	return h
 }
 
-func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
-
 // alwaysLoopback reports whether a router's ICMP replies are sourced from
 // its loopback (a stable per-router behaviour, tabulated in replyAddr).
 func (p *Prober) alwaysLoopback(r model.RouterID) bool {
-	return unit(p.hash(uint64(r), 0x3333)) < p.thirdPartyFrac
+	return rng.Unit(p.hash(uint64(r), 0x3333)) < p.thirdPartyFrac
 }
 
 // responds decides whether a router answers a given probe. The draw is
@@ -189,12 +179,12 @@ func (p *Prober) alwaysLoopback(r model.RouterID) bool {
 func (p *Prober) responds(r *model.Router, dst netblock.IP, vm route.VM, attempt int) bool {
 	as := &p.t.ASes[r.AS]
 	h := p.hash(uint64(r.ID), uint64(dst), uint64(vm.Cloud)<<16|uint64(vm.Region), uint64(attempt))
-	return unit(h) < as.RespProb
+	return rng.Unit(h) < as.RespProb
 }
 
 // jitter returns a small positive queueing delay (ms).
 func (p *Prober) jitter(h uint64) float64 {
-	u := unit(h)
+	u := rng.Unit(h)
 	if u <= 0 {
 		u = 1e-12
 	}
@@ -301,7 +291,7 @@ func (p *Prober) synthesize(buf []Hop, path *route.Path, vm route.VM, d route.De
 			addr = lb
 		}
 		// Rare forwarding loop artefact: repeat an earlier hop.
-		if len(hops) > 2 && unit(mix64(h^0x2222)) < p.loopProb {
+		if len(hops) > 2 && rng.Unit(rng.Mix64(h^0x2222)) < p.loopProb {
 			prev := hops[len(hops)-2]
 			if prev.Responsive() {
 				hops = append(hops, Hop{Addr: prev.Addr, RTTms: hop.RTT + p.jitter(h)})
@@ -334,7 +324,7 @@ func (p *Prober) synthesize(buf []Hop, path *route.Path, vm route.VM, d route.De
 			}
 		} else {
 			h := p.hash(uint64(dst), 0xdddd)
-			responderOK = unit(h) < 0.95
+			responderOK = rng.Unit(h) < 0.95
 		}
 		if responderOK {
 			h := p.hash(uint64(dst), uint64(vm.Cloud), 0xeeee)
@@ -387,16 +377,16 @@ func (p *Prober) Ping(ref VMRef, dst netblock.IP, n int) (float64, bool) {
 	// and slow-path differences): even co-located interfaces never measure
 	// identically, which is what gives Fig. 4b's distribution its sub-2ms
 	// body rather than a spike at zero.
-	offset := unit(p.hash(uint64(dst), 0x0ff5e7)) * 0.9
+	offset := rng.Unit(p.hash(uint64(dst), 0x0ff5e7)) * 0.9
 	best := math.Inf(1)
 	got := false
 	for i := 0; i < n; i++ {
 		h := p.hash(uint64(dst), uint64(vm.Cloud)<<8|uint64(vm.Region), 0x9999, uint64(i))
-		if unit(h) >= respProb {
+		if rng.Unit(h) >= respProb {
 			continue
 		}
 		got = true
-		if rtt := info.rtt + offset + p.jitter(mix64(h)); rtt < best {
+		if rtt := info.rtt + offset + p.jitter(rng.Mix64(h)); rtt < best {
 			best = rtt
 		}
 	}
@@ -423,7 +413,7 @@ func (p *Prober) ReachableFromVP(dst netblock.IP) bool {
 		respProb = p.t.ASes[owner].RespProb
 	}
 	for i := 0; i < 3; i++ {
-		if unit(p.hash(uint64(dst), 0x7777, uint64(i))) < respProb {
+		if rng.Unit(p.hash(uint64(dst), 0x7777, uint64(i))) < respProb {
 			return true
 		}
 	}

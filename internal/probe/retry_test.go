@@ -12,6 +12,7 @@ import (
 	"cloudmap/internal/faults"
 	"cloudmap/internal/netblock"
 	"cloudmap/internal/obs"
+	"cloudmap/internal/rng"
 	"cloudmap/internal/route"
 )
 
@@ -28,10 +29,10 @@ func moderateTestPlan() *faults.Plan {
 func fingerprintTraces(ts []Trace) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, tr := range ts {
-		h = mix64(h ^ uint64(tr.Dst))
-		h = mix64(h ^ uint64(tr.Status))
+		h = rng.Mix64(h ^ uint64(tr.Dst))
+		h = rng.Mix64(h ^ uint64(tr.Status))
 		for _, hop := range tr.Hops {
-			h = mix64(h ^ uint64(hop.Addr))
+			h = rng.Mix64(h ^ uint64(hop.Addr))
 		}
 	}
 	return h

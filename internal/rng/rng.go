@@ -27,13 +27,33 @@ func New(seed uint64) *Rand {
 	x := seed
 	for i := range r.s {
 		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
+		r.s[i] = Mix64(x)
 	}
 	return r
 }
+
+// Mix64 is SplitMix64's finaliser: the simulator's standard cheap,
+// stateless hash for deterministic per-entity draws (a pure function of its
+// input, so the draw never depends on call order or goroutine schedule).
+func Mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// StrHash folds a string into the running hash h, one Mix64 round per byte.
+func StrHash(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = Mix64(h ^ uint64(s[i]))
+	}
+	return h
+}
+
+// Unit maps a hash onto [0, 1) through its top 53 bits.
+func Unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // Fork derives an independent generator from the current one. It is used to
 // give each subsystem (topology generation, probing, response jitter, ...)
@@ -77,7 +97,7 @@ func (r *Rand) Intn(n int) int {
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return Unit(r.Uint64())
 }
 
 // Bool returns true with probability p.

@@ -14,6 +14,7 @@ import (
 	"cloudmap/internal/geo"
 	"cloudmap/internal/model"
 	"cloudmap/internal/netblock"
+	"cloudmap/internal/rng"
 )
 
 // Forwarder computes paths over a topology. It is safe for concurrent use
@@ -182,18 +183,8 @@ func (f *Forwarder) linkForCloud(ifc model.IfaceID, cloud model.CloudID) (model.
 // hostExists decides deterministically whether a probed target host answers
 // (drives completed-traceroute yield).
 func (f *Forwarder) hostExists(ip netblock.IP) bool {
-	h := mix64(uint64(ip) ^ f.t.Seed ^ 0x9e3779b97f4a7c15)
-	return float64(h>>11)/(1<<53) < f.t.HostRespProb
-}
-
-// mix64 is SplitMix64's finaliser, used for cheap deterministic hashing.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	h := rng.Mix64(uint64(ip) ^ f.t.Seed ^ 0x9e3779b97f4a7c15)
+	return rng.Unit(h) < f.t.HostRespProb
 }
 
 // dstMetro returns the metro serving a destination address within an AS:
@@ -202,6 +193,6 @@ func (f *Forwarder) dstMetro(as *model.AS, ip netblock.IP) geo.MetroID {
 	if len(as.Metros) == 1 {
 		return as.Metros[0]
 	}
-	h := mix64(uint64(netblock.Slash24(ip).Addr))
+	h := rng.Mix64(uint64(netblock.Slash24(ip).Addr))
 	return as.Metros[h%uint64(len(as.Metros))]
 }

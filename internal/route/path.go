@@ -6,6 +6,7 @@ import (
 	"cloudmap/internal/geo"
 	"cloudmap/internal/model"
 	"cloudmap/internal/netblock"
+	"cloudmap/internal/rng"
 )
 
 // Per-hop processing latencies (ms, round-trip contribution).
@@ -175,7 +176,7 @@ func (f *Forwarder) TraceInto(p *Path, vm VM, d Dest, tSec float64) {
 	rtt += t.World.PropagationRTTms(egr.Metro, facMetro) + rttHop
 	facRouters := c.BorderRouters[peering.Facility]
 	if len(facRouters) > 1 {
-		h := mix64(uint64(l.CloudRouter)<<20 ^ uint64(peering.Peer))
+		h := rng.Mix64(uint64(l.CloudRouter)<<20 ^ uint64(peering.Peer))
 		if h&1 == 0 {
 			agg := facRouters[h%uint64(len(facRouters))]
 			if agg != l.CloudRouter {
@@ -193,7 +194,7 @@ func (f *Forwarder) TraceInto(p *Path, vm VM, d Dest, tSec float64) {
 	// into a giant component).
 	pen := l.CloudRouter
 	if len(facRouters) > 1 {
-		h := mix64(uint64(dst) ^ uint64(l.ID)<<24 ^ 0xfab)
+		h := rng.Mix64(uint64(dst) ^ uint64(l.ID)<<24 ^ 0xfab)
 		if h%100 < 60 {
 			alt := facRouters[h%uint64(len(facRouters))]
 			if alt != pen {
@@ -244,7 +245,7 @@ func (f *Forwarder) borderIncoming(router model.RouterID, region int) model.Ifac
 	if len(ups) == 0 {
 		return f.coreIncoming[router]
 	}
-	h := mix64(uint64(router)<<8 | uint64(region))
+	h := rng.Mix64(uint64(router)<<8 | uint64(region))
 	return ups[h%uint64(len(ups))]
 }
 
@@ -263,7 +264,7 @@ func (f *Forwarder) pickLink(p *model.Peering, dst netblock.IP) model.LinkID {
 	if p.Kind == model.PeeringPrivatePhysical {
 		key = uint64(dst & 0xff)
 	}
-	h := mix64(key ^ uint64(p.ID)<<32)
+	h := rng.Mix64(key ^ uint64(p.ID)<<32)
 	return p.Links[h%uint64(len(p.Links))]
 }
 
@@ -427,7 +428,7 @@ func (f *Forwarder) computeEgress(vm VM, c *model.Cloud, dstOwner model.ASIndex,
 		// from the interconnection's home region; public-VIF routes are
 		// re-advertised cloud-wide. Which style a client uses is a stable
 		// property of the client.
-		regionOnly := !announced && mix64(uint64(dstOwner)^0x9e37)&1 == 0
+		regionOnly := !announced && rng.Mix64(uint64(dstOwner)^0x9e37)&1 == 0
 		if _, ok := f.chooseInstance(direct, vm, dstOwner, dst, regionOnly); ok {
 			return egressChoice{ok: true, asPath: f.singleAS(dstOwner), regionOnly: regionOnly}
 		}
@@ -492,7 +493,7 @@ func (f *Forwarder) chooseInstance(cands []model.PeeringID, vm VM, dstOwner mode
 	if len(cands) == 0 {
 		return model.NoPeering, false
 	}
-	h := mix64(uint64(netblock.Slash24(dst).Addr) ^ uint64(vm.Region)<<40 ^ uint64(dstOwner)<<8)
+	h := rng.Mix64(uint64(netblock.Slash24(dst).Addr) ^ uint64(vm.Region)<<40 ^ uint64(dstOwner)<<8)
 	// Hot potato: the (h mod n)-th of the n instances homed in the region.
 	regional := 0
 	for _, pid := range cands {

@@ -152,13 +152,13 @@ func TestJournalByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Helper()
 		cfg := tinyConfig()
 		cfg.Workers = workers
-		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		dir := t.TempDir()
+		path := filepath.Join(dir, "epochs.wal")
 		d, err := New(Config{
-			Pipeline:      cfg,
-			Churn:         DefaultChurnPlan(),
-			Epochs:        2,
-			CheckpointDir: t.TempDir(),
-			JournalPath:   path,
+			Pipeline: cfg,
+			Churn:    DefaultChurnPlan(),
+			Epochs:   2,
+			StateDir: dir,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -207,7 +207,7 @@ func TestDeltasReconstructFinalSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three-epoch daemon run skipped in -short mode")
 	}
-	d, err := New(Config{Pipeline: tinyConfig(), Churn: DefaultChurnPlan(), Epochs: 3, CheckpointDir: t.TempDir()})
+	d, err := New(Config{Pipeline: tinyConfig(), Churn: DefaultChurnPlan(), Epochs: 3, StateDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestDeltasReconstructFinalSnapshot(t *testing.T) {
 // Eight concurrent API readers hammer every endpoint while epochs run —
 // the race detector (go test -race) patrols the store and handlers.
 func TestConcurrentReadersDuringEpochs(t *testing.T) {
-	d, err := New(Config{Pipeline: tinyConfig(), Churn: DefaultChurnPlan(), Epochs: 2, CheckpointDir: t.TempDir()})
+	d, err := New(Config{Pipeline: tinyConfig(), Churn: DefaultChurnPlan(), Epochs: 2, StateDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestWatchStreamsEpochDeltas(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two-epoch daemon run skipped in -short mode")
 	}
-	d, err := New(Config{Pipeline: tinyConfig(), Churn: DefaultChurnPlan(), Epochs: 2, CheckpointDir: t.TempDir()})
+	d, err := New(Config{Pipeline: tinyConfig(), Churn: DefaultChurnPlan(), Epochs: 2, StateDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,14 +366,14 @@ func TestGracefulStopDrainsInFlightEpoch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("epoch-driving drain test skipped in -short mode")
 	}
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "epochs.wal")
 	d, err := New(Config{
-		Pipeline:      tinyConfig(),
-		Churn:         DefaultChurnPlan(),
-		Epochs:        0, // unbounded: only Stop ends it
-		EpochEvery:    time.Hour,
-		CheckpointDir: t.TempDir(),
-		JournalPath:   path,
+		Pipeline:   tinyConfig(),
+		Churn:      DefaultChurnPlan(),
+		Epochs:     0, // unbounded: only Stop ends it
+		EpochEvery: time.Hour,
+		StateDir:   dir,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -86,18 +86,15 @@ func (d *Daemon) rehydrate() error {
 	}
 	last := entries[len(entries)-1]
 
-	var ck *storeCheckpoint
-	if d.ckptDir != "" {
-		ck = loadNewestCheckpoint(d.ckptDir, func(path string, cerr error) {
-			d.recovery.RejectedCheckpoints = append(d.recovery.RejectedCheckpoints, filepath.Base(path))
-			d.log.Warn("recovery: skipping damaged checkpoint", "checkpoint", filepath.Base(path), "err", cerr)
-		})
-		if ck != nil && ck.Epoch > last.Epoch {
-			// A checkpoint can never be newer than the journal (the journal
-			// record lands first); this means the journal was tampered with
-			// or the state dir mixes two runs.
-			return fmt.Errorf("service: recovery: checkpoint at epoch %d is newer than journal tail %d — state dir is inconsistent", ck.Epoch, last.Epoch)
-		}
+	ck := loadNewestCheckpoint(d.cfg.StateDir, func(path string, cerr error) {
+		d.recovery.RejectedCheckpoints = append(d.recovery.RejectedCheckpoints, filepath.Base(path))
+		d.log.Warn("recovery: skipping damaged checkpoint", "checkpoint", filepath.Base(path), "err", cerr)
+	})
+	if ck != nil && ck.Epoch > last.Epoch {
+		// A checkpoint can never be newer than the journal (the journal
+		// record lands first); this means the journal was tampered with or
+		// the state dir mixes two runs.
+		return fmt.Errorf("service: recovery: checkpoint at epoch %d is newer than journal tail %d — state dir is inconsistent", ck.Epoch, last.Epoch)
 	}
 
 	byCBI := map[string]Peering{}

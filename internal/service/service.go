@@ -36,24 +36,19 @@ type Config struct {
 	// every result are virtual-time, so the interval never affects output.
 	EpochEvery time.Duration
 	// StateDir, when set, lays out all durable state under one directory:
-	// the epoch journal (epochs.wal), probing checkpoints (probes/), and
-	// periodic store checkpoints (checkpoint-*.ckpt). It overrides
-	// JournalPath and CheckpointDir. A daemon restarted on the same
+	// the epoch journal (epochs.wal: one CRC-framed deterministic JSON line
+	// per epoch — stage statuses, input hashes, deltas; no wall-clock
+	// material — fsynced at every epoch), probing checkpoints (probes/,
+	// replayed by epochs whose probing plan is unchanged), and periodic
+	// store checkpoints (checkpoint-*.ckpt). A daemon restarted on the same
 	// StateDir resumes exactly where the previous process stopped — see
-	// recover.go.
+	// recover.go. Empty keeps no durable state: an epoch that could have
+	// replayed a probing round re-probes it.
 	StateDir string
 	// CheckpointEvery writes a store checkpoint every N epochs (bounding
 	// recovery replay). 0 defaults to 5 when StateDir is set; ignored
 	// without a StateDir.
 	CheckpointEvery int
-	// CheckpointDir persists probing rounds for cross-epoch replay
-	// (superseded by StateDir).
-	CheckpointDir string
-	// JournalPath, when non-empty, appends one CRC-framed deterministic
-	// JSON line per epoch (stage statuses + input hashes + deltas; no
-	// wall-clock material), fsynced at every epoch (superseded by
-	// StateDir). An existing journal is continued, not truncated.
-	JournalPath string
 	// EpochTimeout bounds one epoch attempt; an attempt that exceeds it
 	// fails and is retried like any other epoch failure. 0 disables.
 	EpochTimeout time.Duration
@@ -147,8 +142,7 @@ type Daemon struct {
 	reg     *metrics.Registry
 	log     *slog.Logger
 
-	journalPath string
-	ckptDir     string
+	journalPath string // <StateDir>/epochs.wal; "" without a state dir
 	wal         *WAL
 	recovery    RecoveryInfo
 	lastJournal *journalEntry // newest durable epoch record (nil on fresh start)
@@ -190,14 +184,13 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.WatchKeepalive == 0 {
 		cfg.WatchKeepalive = defaultWatchKeepalive
 	}
-	journalPath, probeDir, ckptDir := cfg.JournalPath, cfg.CheckpointDir, ""
+	var journalPath, probeDir string
 	if cfg.StateDir != "" {
 		probeDir = filepath.Join(cfg.StateDir, "probes")
 		if err := os.MkdirAll(probeDir, 0o755); err != nil {
 			return nil, fmt.Errorf("service: state dir: %w", err)
 		}
 		journalPath = filepath.Join(cfg.StateDir, "epochs.wal")
-		ckptDir = cfg.StateDir
 		if cfg.CheckpointEvery == 0 {
 			cfg.CheckpointEvery = defaultCheckpointEvery
 		}
@@ -231,7 +224,7 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{
 		cfg: cfg, session: session, store: store, reg: cfg.Metrics, log: cfg.Log.With("component", "service"),
-		journalPath: journalPath, ckptDir: ckptDir,
+		journalPath: journalPath,
 
 		cEpochsCompleted: cfg.Metrics.Counter("service.epochs_completed"),
 		cEpochFailures:   cfg.Metrics.Counter("service.epoch_failures"),
@@ -388,9 +381,9 @@ func (d *Daemon) Run(ctx context.Context) (err error) {
 				return aerr
 			}
 		}
-		if d.ckptDir != "" && d.cfg.CheckpointEvery > 0 && epoch%uint64(d.cfg.CheckpointEvery) == 0 {
+		if d.cfg.StateDir != "" && d.cfg.CheckpointEvery > 0 && epoch%uint64(d.cfg.CheckpointEvery) == 0 {
 			if ck := d.store.checkpointState(); ck != nil {
-				if cerr := writeCheckpoint(d.ckptDir, ck); cerr != nil {
+				if cerr := writeCheckpoint(d.cfg.StateDir, ck); cerr != nil {
 					return cerr
 				}
 				d.cCheckpoints.Inc()

@@ -38,14 +38,14 @@ func TestFailedEpochRetriedWithSameNumber(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-epoch supervision run skipped in -short mode")
 	}
-	path := filepath.Join(t.TempDir(), "epochs.wal")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "epochs.wal")
 	d, err := New(Config{
-		Pipeline:      tinyConfig(),
-		Churn:         DefaultChurnPlan(),
-		Epochs:        3,
-		EpochRetries:  2,
-		CheckpointDir: t.TempDir(),
-		JournalPath:   path,
+		Pipeline:     tinyConfig(),
+		Churn:        DefaultChurnPlan(),
+		Epochs:       3,
+		EpochRetries: 2,
+		StateDir:     dir,
 		testEpochErr: func(epoch uint64, attempt int) error {
 			if epoch == 2 && attempt == 1 {
 				return errors.New("injected transient failure")
@@ -94,14 +94,14 @@ func TestExhaustedRetriesPublishDegradedEpoch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-epoch supervision run skipped in -short mode")
 	}
-	path := filepath.Join(t.TempDir(), "epochs.wal")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "epochs.wal")
 	d, err := New(Config{
-		Pipeline:      tinyConfig(),
-		Churn:         DefaultChurnPlan(),
-		Epochs:        3,
-		EpochRetries:  1,
-		CheckpointDir: t.TempDir(),
-		JournalPath:   path,
+		Pipeline:     tinyConfig(),
+		Churn:        DefaultChurnPlan(),
+		Epochs:       3,
+		EpochRetries: 1,
+		StateDir:     dir,
 		testEpochErr: func(epoch uint64, attempt int) error {
 			if epoch == 2 {
 				return errors.New("injected persistent failure")
@@ -148,15 +148,15 @@ func TestExhaustedRetriesPublishDegradedEpoch(t *testing.T) {
 // The per-epoch deadline is a retryable failure, not a process death: an
 // epoch that can never meet it degrades and the daemon keeps serving.
 func TestEpochDeadlineDegradesInsteadOfKilling(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "epochs.wal")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "epochs.wal")
 	d, err := New(Config{
-		Pipeline:      tinyConfig(),
-		Churn:         DefaultChurnPlan(),
-		Epochs:        1,
-		EpochTimeout:  time.Nanosecond, // expires before the first stage
-		EpochRetries:  1,
-		CheckpointDir: t.TempDir(),
-		JournalPath:   path,
+		Pipeline:     tinyConfig(),
+		Churn:        DefaultChurnPlan(),
+		Epochs:       1,
+		EpochTimeout: time.Nanosecond, // expires before the first stage
+		EpochRetries: 1,
+		StateDir:     dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,10 +183,10 @@ func TestEpochDeadlineDegradesInsteadOfKilling(t *testing.T) {
 func TestParentCancelAbortsWithoutRetry(t *testing.T) {
 	calls := 0
 	d, err := New(Config{
-		Pipeline:      tinyConfig(),
-		Epochs:        2,
-		EpochRetries:  5,
-		CheckpointDir: t.TempDir(),
+		Pipeline:     tinyConfig(),
+		Epochs:       2,
+		EpochRetries: 5,
+		StateDir:     t.TempDir(),
 		testEpochErr: func(epoch uint64, attempt int) error {
 			calls++
 			return context.Canceled

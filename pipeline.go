@@ -44,11 +44,13 @@ import (
 // RunOptions tunes RunPipeline beyond the pipeline Config.
 type RunOptions struct {
 	// CheckpointDir, when non-empty, persists the probing rounds as binary
-	// v2 tracefiles (campaign.traces.bin, expansion.traces.bin) plus the run
-	// manifest (manifest.json) in that directory.
+	// v2 tracefiles (campaign.traces.bin, expansion.traces.bin), each with
+	// its probe-plan gate (<round>.traces.bin.plan), plus the run manifest
+	// (manifest.json) in that directory.
 	CheckpointDir string
 	// Resume replays complete campaign checkpoints from CheckpointDir
-	// instead of re-probing; interrupted (trailer-less) checkpoints are
+	// instead of re-probing; interrupted (trailer-less) checkpoints, and
+	// complete ones whose gate names a different probing plan, are
 	// re-probed from scratch and overwritten. Requires CheckpointDir.
 	Resume bool
 	// Metrics receives every stage's instruments; nil creates a private
@@ -188,11 +190,6 @@ func RunPipeline(ctx context.Context, sys *System, cfg Config, opts RunOptions) 
 	if opts.Resume && opts.CheckpointDir == "" {
 		return nil, nil, fmt.Errorf("cloudmap: Resume requires CheckpointDir")
 	}
-	if opts.CheckpointDir != "" {
-		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("cloudmap: checkpoint dir: %w", err)
-		}
-	}
 	hash := configHash(cfg)
 	var prev *Manifest
 	if opts.Resume {
@@ -200,6 +197,14 @@ func RunPipeline(ctx context.Context, sys *System, cfg Config, opts RunOptions) 
 		if prev, err = loadCompatibleManifest(opts.CheckpointDir, hash); err != nil {
 			return nil, nil, err
 		}
+	}
+	st, err := newPipeState(cfg, opts, sys)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer st.close()
+	if prev != nil && prev.Degradation != nil {
+		st.prevRounds = prev.Degradation.Rounds
 	}
 
 	reg := opts.Metrics
@@ -226,14 +231,6 @@ func RunPipeline(ctx context.Context, sys *System, cfg Config, opts RunOptions) 
 		tracer = obs.NewTracer(jw, opts.TracePath != "")
 	}
 
-	st := &pipeState{cfg: cfg, opts: opts, sys: sys, prog: opts.Progress}
-	if opts.Dispatch != nil {
-		st.disp = dispatch.NewController(*opts.Dispatch, dispatch.Fingerprint(cfg.Topology, cfg.Faults))
-		defer st.disp.Close()
-	}
-	if prev != nil && prev.Degradation != nil {
-		st.prevRounds = prev.Degradation.Rounds
-	}
 	stages, err := newRunner(reg).Run(ctx, st, pipeline.Options{
 		Resume:   opts.Resume,
 		Tracer:   tracer,
@@ -320,33 +317,61 @@ type pipeState struct {
 	roundStats map[string]probe.CampaignStats
 	prevRounds map[string]probe.CampaignStats
 
-	// Epoch-mode fields (Session only; zero-valued under RunPipeline).
-	// epochMode switches the stage InputHash hooks on: each stage
-	// fingerprints its inputs so the runner can hash-skip stages whose
-	// inputs did not change between epochs.
-	epochMode bool
-	// stageHash holds this epoch's computed input hashes by stage name;
+	// Incremental scheduling: every stage fingerprints its inputs (its
+	// InputHash hook), so a Session can hash-skip stages whose inputs did
+	// not change between epochs. A one-shot run computes the same hashes
+	// (they land in its manifest) but never skips on them.
+	// stageHash holds this run's computed input hashes by stage name;
 	// downstream InputHash hooks fold upstream entries in (sound because
 	// every stage is a deterministic function of its inputs).
 	stageHash map[string]string
 	// dsHash maps dataset name -> content hash of its serialized form this
-	// epoch (set by datasetsInputHash before the datasets stage decides).
+	// run (set by datasetsInputHash before the datasets stage decides).
 	dsHash map[string]string
-	// corpus caches the serialization datasetsInputHash produced so the
-	// datasets stage does not serialize twice in one epoch.
+	// corpus is the serialization datasetsInputHash produced, handed to the
+	// datasets stage so the registry is serialized once per run.
 	corpus *datasets.Corpus
 	// lastAnnHash is the annotation-relevant dataset hash behind the
 	// current s.inf; the datasets stage only rebuilds the inference sink
 	// (forcing the campaign to re-run over the stored traces) when it
 	// changes.
 	lastAnnHash string
-	// probePlanNow / probeGate gate checkpoint replay per probing round:
-	// probePlanNow is this epoch's probing-plan hash (topology, fault and
-	// retry schedule, target set), probeGate the hash backing the round's
-	// on-disk checkpoint. A mismatch re-probes live instead of replaying a
-	// checkpoint recorded under different probing inputs.
+	// probePlanNow is this run's probing-plan hash per round (topology,
+	// fault and retry schedule, target set). It gates checkpoint replay: a
+	// checkpoint whose <round>.traces.bin.plan file names another plan is
+	// re-probed live instead of replayed.
 	probePlanNow map[string]string
-	probeGate    map[string]string
+}
+
+// newPipeState builds the stage state shared by RunPipeline (one run) and
+// Session (one state reused across epochs): it creates the checkpoint dir
+// and, when configured, the dispatch controller, which close releases.
+func newPipeState(cfg Config, opts RunOptions, sys *System) (*pipeState, error) {
+	if opts.CheckpointDir != "" {
+		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
+			return nil, fmt.Errorf("cloudmap: checkpoint dir: %w", err)
+		}
+	}
+	st := &pipeState{
+		cfg:          cfg,
+		opts:         opts,
+		sys:          sys,
+		prog:         opts.Progress,
+		stageHash:    make(map[string]string),
+		probePlanNow: make(map[string]string),
+	}
+	if opts.Dispatch != nil {
+		st.disp = dispatch.NewController(*opts.Dispatch, dispatch.Fingerprint(cfg.Topology, cfg.Faults))
+	}
+	return st, nil
+}
+
+// close releases the dispatch controller's heartbeat loop, if any; safe to
+// call repeatedly.
+func (s *pipeState) close() {
+	if s.disp != nil {
+		s.disp.Close()
+	}
 }
 
 // degradationReport assembles the manifest's degradation section; nil when
@@ -545,6 +570,13 @@ func (s *pipeState) topoGen(_ context.Context, sc *pipeline.StageContext) error 
 		}
 		s.sys.Prober.SetFaults(inj)
 	}
+	// A §7.1 cloud the world has no vantage points in is a configuration
+	// error; fail here rather than after both probing rounds.
+	for _, cloud := range s.cfg.VPIClouds {
+		if len(s.sys.Prober.VMs(cloud)) == 0 {
+			return fmt.Errorf("unknown VPI cloud %q: the world has no VMs in it", cloud)
+		}
+	}
 	s.res = &Result{System: s.sys, Config: s.cfg}
 	s.vms = s.sys.Prober.VMs("amazon")
 	sc.Counter("ases").Add(int64(len(s.sys.Topology.ASes)))
@@ -561,10 +593,7 @@ func (s *pipeState) topoGen(_ context.Context, sc *pipeline.StageContext) error 
 // the round trip is faithful and the rebuilt registry annotates identically
 // to the original.
 func (s *pipeState) datasets(_ context.Context, sc *pipeline.StageContext) error {
-	corpus := s.corpus // serialized by datasetsInputHash in epoch mode
-	if corpus == nil {
-		corpus = datasets.Serialize(s.sys.Registry, s.cfg.Topology.Seed, s.cfg.Dirty)
-	}
+	corpus := s.corpus // serialized by datasetsInputHash
 	s.corpus = nil
 	if dir := s.opts.DatasetsDir; dir != "" {
 		if err := corpus.WriteDir(dir); err != nil {
@@ -574,13 +603,14 @@ func (s *pipeState) datasets(_ context.Context, sc *pipeline.StageContext) error
 	view := datasets.Load(corpus, s.sys.Registry.World)
 	s.hyg = view
 	s.res.Hygiene = view
-	// In epoch mode the border-inference sink is rebuilt only when the
-	// datasets that annotate hops (RIB, WHOIS, IXPs, as2org, clouds)
-	// changed: a rebuild invalidates the accumulated inference and forces
-	// the campaign stage to re-run (replaying its checkpointed traces).
-	// Dataset churn elsewhere — facilities, relationships, cones, rDNS —
-	// leaves the inference intact so probing-derived stages hash-skip.
-	if ann := s.annotationHash(); !s.epochMode || s.inf == nil || s.lastAnnHash != ann {
+	// The border-inference sink is rebuilt only when the datasets that
+	// annotate hops (RIB, WHOIS, IXPs, as2org, clouds) changed since the
+	// last build — always on a run's first pass: a rebuild invalidates the
+	// accumulated inference and forces the campaign stage to re-run
+	// (replaying its checkpointed traces). Between epochs, dataset churn
+	// elsewhere — facilities, relationships, cones, rDNS — leaves the
+	// inference intact so probing-derived stages hash-skip.
+	if ann := s.annotationHash(); s.inf == nil || s.lastAnnHash != ann {
 		s.inf = border.New(view.Registry, "amazon")
 		s.lastAnnHash = ann
 	}
@@ -694,7 +724,13 @@ func (s *pipeState) checkpointPath(stage string) string {
 func (s *pipeState) probeRound(ctx context.Context, sc *pipeline.StageContext, stage string, epoch uint64, targets []netblock.IP) error {
 	sink, flushSink := s.roundSink(sc)
 	var fw *tracefile.FileWriter
-	if path := s.checkpointPath(stage); path != "" {
+	path := s.checkpointPath(stage)
+	if path != "" {
+		// The gate file must only ever name the plan of the tracefile beside
+		// it; it is rewritten once this round's checkpoint is complete.
+		if err := os.Remove(path + ".plan"); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("checkpoint gate %s.plan: %w", path, err)
+		}
 		var err error
 		if fw, err = tracefile.Create(path); err != nil {
 			return fmt.Errorf("checkpoint %s: %w", path, err)
@@ -714,26 +750,15 @@ func (s *pipeState) probeRound(ctx context.Context, sc *pipeline.StageContext, s
 	}
 	stats, err := s.sys.Prober.CampaignRetryObsCtx(ctx, sc.Span(), s.prog, remote, s.vms, targets, s.cfg.Workers, s.cfg.Retry, epoch, sink)
 	flushSink()
+	// A complete checkpoint gets its probe-plan gate: later epochs, a
+	// resumed run or a restarted daemon with an unchanged plan may replay it.
 	if fw != nil {
 		if err != nil {
 			fw.Close()
 		} else if cerr := fw.Finish(); cerr != nil {
-			err = fmt.Errorf("checkpoint %s: %w", s.checkpointPath(stage), cerr)
-		}
-	}
-	if err == nil && s.epochMode {
-		// The freshly written checkpoint now embodies this probing plan;
-		// later epochs with an unchanged plan may replay it. The gate is
-		// persisted next to the tracefile too, so a restarted daemon (whose
-		// in-memory gate is empty) can still replay instead of re-probing.
-		if s.probeGate == nil {
-			s.probeGate = make(map[string]string)
-		}
-		s.probeGate[stage] = s.probePlanNow[stage]
-		if path := s.checkpointPath(stage); path != "" {
-			if werr := os.WriteFile(path+".plan", []byte(s.probePlanNow[stage]+"\n"), 0o644); werr != nil {
-				err = fmt.Errorf("checkpoint gate %s.plan: %w", path, werr)
-			}
+			err = fmt.Errorf("checkpoint %s: %w", path, cerr)
+		} else if werr := os.WriteFile(path+".plan", []byte(s.probePlanNow[stage]+"\n"), 0o644); werr != nil {
+			err = fmt.Errorf("checkpoint gate %s.plan: %w", path, werr)
 		}
 	}
 	s.recordRoundStats(sc, stage, stats)
@@ -779,29 +804,12 @@ func (s *pipeState) recordRoundStats(sc *pipeline.StageContext, stage string, st
 
 // resumeRound replays a complete checkpoint into the round's sink. prepare
 // runs only once the checkpoint is known to be usable (e.g. BeginRound2).
+// A missing, torn or partial checkpoint falls through to live probing, as
+// does a complete one recorded under a different probing plan.
 func (s *pipeState) resumeRound(ctx context.Context, stage string, sc *pipeline.StageContext, prepare func()) (bool, error) {
 	path := s.checkpointPath(stage)
 	if path == "" {
 		return false, nil
-	}
-	// Epoch mode: the checkpoint is only a faithful substitute for live
-	// probing while the probing plan (topology, fault/retry schedule,
-	// target set) that wrote it still holds. On mismatch — including epoch
-	// one, before any checkpoint was recorded — probe live and overwrite.
-	// A fresh session (daemon restart) has an empty in-memory gate; the
-	// gate persisted alongside the tracefile stands in for it, so recovery
-	// replays checkpointed probing instead of re-running the campaigns. A
-	// torn or missing gate file simply mismatches and re-probes — safe.
-	if s.epochMode {
-		gate, ok := s.probeGate[stage]
-		if !ok {
-			if data, rerr := os.ReadFile(path + ".plan"); rerr == nil {
-				gate = strings.TrimSpace(string(data))
-			}
-		}
-		if s.probePlanNow[stage] != gate {
-			return false, nil
-		}
 	}
 	sum, err := tracefile.ScanFile(path)
 	if err != nil {
@@ -823,6 +831,17 @@ func (s *pipeState) resumeRound(ctx context.Context, stage string, sc *pipeline.
 		sc.Counter("checkpoint-partial").Inc()
 		return false, nil
 	}
+	// A complete checkpoint is only a faithful substitute for live probing
+	// while the probing plan that wrote it still holds. A missing or torn
+	// gate file mismatches and re-probes — safe.
+	var gate string
+	if data, rerr := os.ReadFile(path + ".plan"); rerr == nil {
+		gate = strings.TrimSpace(string(data))
+	}
+	if gate != s.probePlanNow[stage] {
+		sc.Counter("checkpoint-stale").Inc()
+		return false, nil
+	}
 	if prepare != nil {
 		prepare()
 	}
@@ -842,14 +861,6 @@ func (s *pipeState) resumeRound(ctx context.Context, stage string, sc *pipeline.
 	// sitting it out) instead of silently treating the data as clean.
 	if cs, ok := s.prevRounds[stage]; ok {
 		s.recordRoundStats(sc, stage, cs)
-	}
-	if s.epochMode {
-		// The replay validated the persisted gate; cache it in memory so
-		// later epochs skip the file read.
-		if s.probeGate == nil {
-			s.probeGate = make(map[string]string)
-		}
-		s.probeGate[stage] = s.probePlanNow[stage]
 	}
 	return true, nil
 }

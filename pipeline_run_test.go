@@ -371,10 +371,55 @@ func TestResumeWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestStalePlanCheckpointReprobes: a complete checkpoint whose probe-plan
+// gate (<round>.traces.bin.plan) names a different probing plan is not a
+// faithful substitute for live probing. A one-shot resume over it re-probes
+// (status ok, counter checkpoint-stale) and matches an uninterrupted run;
+// the re-probe rewrites the gate, so the next resume replays.
+func TestStalePlanCheckpointReprobes(t *testing.T) {
+	cfg := SmallConfig()
+	dir := t.TempDir()
+	ref, _, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "campaign.traces.bin.plan"), []byte("0123456789abcdef\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	campaign := func(rep *RunReport) pipeline.StageResult {
+		for _, st := range rep.Manifest.Stages {
+			if st.Name == "campaign" {
+				return st
+			}
+		}
+		t.Fatal("campaign stage missing from the manifest")
+		return pipeline.StageResult{}
+	}
+	res, rep, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := campaign(rep); st.Status != pipeline.StatusOK {
+		t.Fatalf("campaign over a stale checkpoint: status %q, want re-probed ok", st.Status)
+	} else if st.Counters["checkpoint-stale"] != 1 {
+		t.Errorf("stale gate not recorded: %+v", st.Counters)
+	}
+	if res.Report() != ref.Report() {
+		t.Fatal("re-probed run diverged from an uninterrupted run")
+	}
+	_, rep, err = RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := campaign(rep); st.Status != pipeline.StatusResumed {
+		t.Fatalf("campaign after the re-probe rewrote its gate: status %q, want %q", st.Status, pipeline.StatusResumed)
+	}
+}
+
 // TestUnknownVPICloudFailsStage: a foreign cloud the world does not have
-// is a configuration error. The run fails naming it and the manifest
-// records the vpi stage as failed, instead of an empty Table 4 under a
-// successful stage.
+// is a configuration error. The run fails naming it before any probing:
+// the manifest records topo-gen as failed and the vpi stage as not-run,
+// instead of an empty Table 4 under a successful stage.
 func TestUnknownVPICloudFailsStage(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.VPIClouds = []string{"microsoft", "azure"}
@@ -385,13 +430,16 @@ func TestUnknownVPICloudFailsStage(t *testing.T) {
 	if res != nil {
 		t.Fatal("failed run returned a result")
 	}
+	want := map[string]pipeline.Status{"topo-gen": pipeline.StatusFailed, "vpi": pipeline.StatusNotRun}
 	for _, st := range rep.Manifest.Stages {
-		if st.Name == "vpi" {
-			if st.Status != pipeline.StatusFailed {
-				t.Fatalf("vpi stage status %q, want %q", st.Status, pipeline.StatusFailed)
+		if w, ok := want[st.Name]; ok {
+			if st.Status != w {
+				t.Errorf("%s stage status %q, want %q", st.Name, st.Status, w)
 			}
-			return
+			delete(want, st.Name)
 		}
 	}
-	t.Fatal("vpi stage missing from the manifest")
+	if len(want) > 0 {
+		t.Fatalf("stages missing from the manifest: %v", want)
+	}
 }

@@ -65,7 +65,7 @@ SMOKE_DIR="${CLOUDMAPD_SMOKE_DIR:-$(mktemp -d)}"
 go build -o "$SMOKE_DIR/" ./cmd/cloudmapd ./cmd/cloudmapctl
 "$SMOKE_DIR/cloudmapd" -scale small -seed 1 -epochs 0 -epoch-every 1h \
 	-addr 127.0.0.1:0 -addr-file "$SMOKE_DIR/addr.txt" \
-	-checkpoint-dir "$SMOKE_DIR/ckpt" -epoch-journal "$SMOKE_DIR/epochs.jsonl" \
+	-state-dir "$SMOKE_DIR/state" \
 	>"$SMOKE_DIR/cloudmapd.log" 2>&1 &
 CLOUDMAPD_PID=$!
 # Wait for the first epoch to publish (the status document reports it).
@@ -96,7 +96,7 @@ wait "$CLOUDMAPD_PID" || SMOKE_RC=$?
 	cat "$SMOKE_DIR/cloudmapd.log" >&2
 	exit 1
 }
-grep -q '"epoch":1' "$SMOKE_DIR/epochs.jsonl"
+grep -q '"epoch":1' "$SMOKE_DIR/state/epochs.wal"
 
 echo "==> crash-recovery smoke (kill -9 mid-epoch + restart on the same state dir)"
 sh scripts/crash_smoke.sh "${CLOUDMAPD_CRASH_DIR:-$(mktemp -d)}"
