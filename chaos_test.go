@@ -193,7 +193,7 @@ func TestChaosResumeKeepsDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, rep2, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir, Resume: true})
+	res2, rep2, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +215,60 @@ func TestChaosResumeKeepsDegradation(t *testing.T) {
 	}
 	if res1.Report() != res2.Report() {
 		t.Fatal("resumed faulted report differs from the fresh one")
+	}
+}
+
+// TestSessionRestartKeepsDegradation: a Session restarted on its
+// predecessor's checkpoint dir replays both faulted probing rounds. The
+// degradation travels with each round's checkpoint gate, so the replayed
+// rounds carry the live epoch's notes, bdrmap still sits them out, and the
+// replay counts no probes (it sent none).
+func TestSessionRestartKeepsDegradation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full faulted pipeline runs")
+	}
+	dir := t.TempDir()
+	epoch := func() (*Result, map[string]pipeline.StageResult) {
+		s, err := NewSession(chaosConfig(t), SessionOptions{CheckpointDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		res, rep, err := s.RunEpoch(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName := map[string]pipeline.StageResult{}
+		for _, sr := range rep.Stages {
+			byName[sr.Name] = sr
+		}
+		return res, byName
+	}
+	res1, live := epoch()
+	report1 := res1.Report()
+	res2, replay := epoch()
+	for _, round := range []string{"campaign", "expansion"} {
+		l, r := live[round], replay[round]
+		if l.Status != pipeline.StatusOK || !l.Degraded {
+			t.Fatalf("live %s = %q degraded=%v, want a degraded ok round", round, l.Status, l.Degraded)
+		}
+		if r.Status != pipeline.StatusResumed || !r.Degraded {
+			t.Errorf("restarted %s = %q degraded=%v, want resumed and degraded", round, r.Status, r.Degraded)
+		}
+		if strings.Join(r.Notes, "\n") != strings.Join(l.Notes, "\n") {
+			t.Errorf("restarted %s notes %q, live %q", round, r.Notes, l.Notes)
+		}
+		if r.Counters["probes"] != 0 || r.Counters["retries"] != 0 {
+			t.Errorf("restarted %s counted probes it never sent: %+v", round, r.Counters)
+		}
+	}
+	for name, byName := range map[string]map[string]pipeline.StageResult{"live": live, "restarted": replay} {
+		if got := byName["bdrmap"].Status; got != pipeline.StatusSkippedDegraded {
+			t.Errorf("%s bdrmap = %q, want %q", name, got, pipeline.StatusSkippedDegraded)
+		}
+	}
+	if res2.Report() != report1 {
+		t.Fatal("restarted session's report differs from the live epoch's")
 	}
 }
 
@@ -299,7 +353,7 @@ func TestMidDAGFailureLeavesResumableCheckpoints(t *testing.T) {
 	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
 	}
-	res2, rep2, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir, Resume: true})
+	res2, rep2, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir})
 	if err != nil {
 		t.Fatalf("resume after clearing the failure: %v", err)
 	}

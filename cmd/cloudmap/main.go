@@ -6,7 +6,7 @@
 // Usage:
 //
 //	cloudmap [-scale small|medium|paper] [-seed N] [-skip-bdrmap] [-o report.txt]
-//	         [-checkpoint-dir DIR] [-resume] [-metrics-out m.json]
+//	         [-checkpoint-dir DIR] [-metrics-out m.json]
 //	         [-fault-plan plan.json] [-max-retries N] [-retry-budget N]
 //	         [-dirty-plan plan.json] [-datasets-dir DIR]
 //	         [-journal-out j.jsonl] [-trace-out t.json] [-debug-addr :6060]
@@ -14,8 +14,9 @@
 //
 // The run is interruptible: Ctrl-C cancels the pipeline promptly, and with
 // -checkpoint-dir the probing campaigns are persisted as they run, so a
-// second invocation with -resume replays the stored traces instead of
-// re-probing.
+// second invocation on the same directory replays every round whose stored
+// probing plan still matches instead of re-probing it; a changed seed,
+// scale, fault plan or retry policy re-probes the round and overwrites it.
 //
 // -fault-plan layers the deterministic fault model (ICMP rate limiting,
 // bursty loss, link flaps, region outages) under the campaigns; the same
@@ -81,7 +82,6 @@ func main() {
 	traces := flag.String("traces", "", "archive the Amazon campaign to this tracefile (binary v2, whatever the extension)")
 	csvDir := flag.String("csv", "", "dump figure data as CSV files into this directory")
 	checkpointDir := flag.String("checkpoint-dir", "", "persist probing rounds and the run manifest in this directory")
-	resume := flag.Bool("resume", false, "replay complete campaign checkpoints from -checkpoint-dir instead of re-probing")
 	metricsOut := flag.String("metrics-out", "", "write the run manifest (per-stage timings, allocations, counters) as JSON to this file")
 	faultPlan := flag.String("fault-plan", "", "inject faults from this JSON plan (see internal/faults and testdata/faultplans)")
 	maxRetries := flag.Int("max-retries", 0, "re-probe fault-degraded traceroutes up to N times (0 disables retries)")
@@ -173,7 +173,6 @@ func main() {
 	start := time.Now()
 	res, rep, err := cloudmap.RunPipeline(ctx, nil, cfg, cloudmap.RunOptions{
 		CheckpointDir: *checkpointDir,
-		Resume:        *resume,
 		Metrics:       reg,
 		DatasetsDir:   *datasetsDir,
 		JournalPath:   *journalOut,
@@ -197,7 +196,7 @@ func main() {
 	}
 	if err != nil {
 		// rep is nil when the run was rejected before any stage started
-		// (bad options, incompatible checkpoint dir) — no checkpoints then.
+		// (bad options, unusable checkpoint dir) — no checkpoints then.
 		if *checkpointDir != "" && rep != nil {
 			log.Printf("run did not finish; partial checkpoints kept in %s", *checkpointDir)
 		}

@@ -118,7 +118,6 @@ func main() {
 	fp := dispatch.Fingerprint(cfg.Topology, cfg.Faults)
 
 	reg := metrics.NewRegistry()
-	prog := obs.NewProgress(reg)
 	agent := dispatch.NewAgent(dispatch.AgentOptions{
 		ID:          id,
 		Prober:      sys.Prober,
@@ -127,13 +126,14 @@ func main() {
 		Chaos:       chaos,
 		Log:         logger,
 		Metrics:     reg,
-		Progress:    prog,
 		// Default Exit: os.Exit(3) — a chaos crash kills the real process.
 	})
 
 	// One listener serves leases and the admin plane together; the agent's
 	// /metrics, /progress, /logz, and pprof ride next to the lease routes.
-	mux := obs.NewMux(reg, prog)
+	// An agent runs no stages and holds no retry budget of its own, so its
+	// /progress is the empty snapshot; its work shows in the agent.* series.
+	mux := obs.NewMux(reg, nil)
 	agent.Mount(mux)
 	mux.Handle("/logz", ring)
 
@@ -143,7 +143,7 @@ func main() {
 	}
 	fmt.Printf("cloudmapagent %s serving on http://%s (world %s)\n", id, srv.Addr(), fp)
 	if *debugAddr != "" {
-		dmux := obs.NewMux(reg, prog)
+		dmux := obs.NewMux(reg, nil)
 		dmux.Handle("/logz", ring)
 		dsrv, err := obs.ServeHandler(*debugAddr, dmux)
 		if err != nil {

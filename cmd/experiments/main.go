@@ -6,7 +6,7 @@
 // Usage:
 //
 //	experiments [-scale paper] [-seed N] [-o experiments_report.txt]
-//	            [-checkpoint-dir DIR] [-resume] [-metrics-out m.json]
+//	            [-checkpoint-dir DIR] [-metrics-out m.json]
 //	            [-fault-plan plan.json] [-max-retries N] [-retry-budget N]
 //	            [-dirty-plan plan.json] [-datasets-dir DIR]
 //	            [-journal-out j.jsonl] [-trace-out t.json]
@@ -18,6 +18,10 @@
 // realistic measurement adversity. -dirty-plan corrupts the serialized
 // input datasets before the hygiene layer parses them back, exercising the
 // same comparison over dirty public data (see internal/datasets).
+//
+// -checkpoint-dir persists both probing rounds; rerunning on the same
+// directory replays each round whose stored probing plan still matches, as
+// cmd/cloudmap does, so a paper-scale rerun skips straight to inference.
 //
 // The observability flags mirror cmd/cloudmap: -journal-out (deterministic
 // JSONL event journal), -trace-out (Chrome trace-event JSON for Perfetto),
@@ -52,7 +56,6 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel probing workers; <=0 uses all CPUs (output is identical regardless)")
 	out := flag.String("o", "experiments_report.txt", "write the full report here")
 	checkpointDir := flag.String("checkpoint-dir", "", "persist probing rounds and the run manifest in this directory")
-	resume := flag.Bool("resume", false, "replay complete campaign checkpoints from -checkpoint-dir instead of re-probing")
 	metricsOut := flag.String("metrics-out", "", "write the run manifest (per-stage timings, counters) as JSON to this file")
 	faultPlan := flag.String("fault-plan", "", "inject faults from this JSON plan (see internal/faults and testdata/faultplans)")
 	maxRetries := flag.Int("max-retries", 0, "re-probe fault-degraded traceroutes up to N times (0 disables retries)")
@@ -119,7 +122,6 @@ func main() {
 	start := time.Now()
 	res, rep, err := cloudmap.RunPipeline(ctx, nil, cfg, cloudmap.RunOptions{
 		CheckpointDir: *checkpointDir,
-		Resume:        *resume,
 		Metrics:       reg,
 		DatasetsDir:   *datasetsDir,
 		JournalPath:   *journalOut,

@@ -70,7 +70,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 
 	// A resumed run — probing rounds replayed from the stored tracefiles
 	// instead of re-probed — must be byte-identical too.
-	d, rep, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir, Resume: true})
+	d, rep, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,7 +151,6 @@ func (s *Session) SetRegistry(reg *registry.Registry) { s.sys.Registry = reg }
 func (s *Session) RunEpoch(ctx context.Context) (*Result, *EpochReport, error) {
 	s.epoch++
 	stages, err := newRunner(s.reg).Run(ctx, s.st, pipeline.Options{
-		Resume:     true,
 		Progress:   s.opts.Progress,
 		PrevHashes: s.prev,
 	})

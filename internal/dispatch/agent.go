@@ -43,9 +43,6 @@ type AgentOptions struct {
 	// Metrics, when non-nil, mirrors the agent's self-reported stats as
 	// agent.* counters so the agent's own /metrics endpoint exposes them.
 	Metrics *metrics.Registry
-	// Progress, when non-nil, receives per-trace progress from executing
-	// leases (the agent's own /progress endpoint).
-	Progress *obs.Progress
 }
 
 // Agent executes work leases against a local probing plane and reports the
@@ -244,7 +241,7 @@ func (a *Agent) handleLease(w http.ResponseWriter, r *http.Request) {
 		csp = obs.NewTracer(&capture, false).RemoteSpan(id, "stage", "campaign")
 	}
 
-	traces, stats, err := a.opts.Prober.RunChunkObs(r.Context(), csp, a.opts.Progress, lease.Chunk, lease.Targets, lease.Retry, lease.Epoch, lease.Budget, 0)
+	traces, stats, err := a.opts.Prober.RunChunkObs(r.Context(), csp, lease.Chunk, lease.Targets, lease.Retry, lease.Epoch, lease.Budget, 0)
 	if err != nil {
 		a.opts.Log.Error("lease failed", "agent", a.opts.ID, "lease", lease.ID, "chunk", chunk, "err", err)
 		http.Error(w, fmt.Sprintf("lease execution: %v", err), http.StatusInternalServerError)

@@ -18,7 +18,9 @@ import (
 
 	"cloudmap"
 	"cloudmap/internal/dispatch"
+	"cloudmap/internal/faults"
 	"cloudmap/internal/netblock"
+	"cloudmap/internal/obs"
 	"cloudmap/internal/probe"
 	"cloudmap/internal/tracefile"
 )
@@ -159,6 +161,45 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	}
 	if st.ChunksLocal != 0 {
 		t.Errorf("healthy fleet still ran %d chunks locally", st.ChunksLocal)
+	}
+}
+
+// TestFleetRetriesBurnProgressBudget: retries spent on leased chunks burn
+// the live /progress retry budget exactly as local ones do, so a faulted
+// campaign run entirely by the fleet ends with budget − retries left.
+func TestFleetRetriesBurnProgressBudget(t *testing.T) {
+	plan, err := faults.LoadPlan("../../testdata/faultplans/moderate.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cloudmap.SmallConfig()
+	cfg.Faults = plan
+	sys, err := cloudmap.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca := smallCampaign(t, sys)
+	const budget = 1 << 20
+	ca.pol.Budget = budget
+
+	fp := dispatch.Fingerprint(cfg.Topology, cfg.Faults)
+	srv := newAgentServer(t, sys, "a1", fp)
+	ctl := dispatch.NewController(fastOptions(srv.URL), fp)
+	defer ctl.Close()
+	prog := obs.NewProgress(nil)
+	prog.SetRetryBudget(budget)
+	stats, err := sys.Prober.CampaignRetryObsCtx(context.Background(), nil, prog, ctl, ca.vms, ca.targets, 2, ca.pol, 1, func(probe.Trace) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ctl.Stats(); st.ChunksLocal != 0 || st.LeasesGranted == 0 {
+		t.Fatalf("campaign not run by the fleet: %d leases, %d local chunks", st.LeasesGranted, st.ChunksLocal)
+	}
+	if stats.Retries == 0 || stats.BudgetExhausted {
+		t.Fatalf("faulted campaign spent %d retries (budget exhausted: %v), want some within the budget", stats.Retries, stats.BudgetExhausted)
+	}
+	if got, want := prog.Snapshot().RetriesLeft, budget-stats.Retries; got != want {
+		t.Fatalf("retries_left = %d, want budget %d - %d retries = %d", got, budget, stats.Retries, want)
 	}
 }
 

@@ -64,7 +64,7 @@ func TestNilSafety(t *testing.T) {
 	var p *Progress
 	p.SetStage("x", 1, 2)
 	p.TraceDone()
-	p.RetrySpent()
+	p.RetriesSpent(1)
 	p.AddPlanned(1)
 	p.AddQuarantined(1)
 	if got := p.Snapshot().RetriesLeft; got != -1 {
@@ -207,7 +207,7 @@ func TestProgressLineAndSnapshot(t *testing.T) {
 		p.TraceDone()
 	}
 	p.SetRetryBudget(10)
-	p.RetrySpent()
+	p.RetriesSpent(1)
 	p.AddQuarantined(3)
 
 	s := p.Snapshot()

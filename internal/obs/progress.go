@@ -108,12 +108,12 @@ func (p *Progress) SetRetryBudget(budget int64) {
 	p.gRetriesLeft.Set(float64(budget))
 }
 
-// RetrySpent burns one retry from the budget.
-func (p *Progress) RetrySpent() {
-	if p == nil || p.unbudgeted.Load() {
+// RetriesSpent burns n retries from the budget.
+func (p *Progress) RetriesSpent(n int64) {
+	if p == nil || n == 0 || p.unbudgeted.Load() {
 		return
 	}
-	p.gRetriesLeft.Set(float64(p.retriesLeft.Add(-1)))
+	p.gRetriesLeft.Set(float64(p.retriesLeft.Add(-n)))
 }
 
 // SetEpoch records the daemon's last published epoch.

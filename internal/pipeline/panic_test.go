@@ -60,7 +60,7 @@ func TestResumeHookPanicBecomesFailedResult(t *testing.T) {
 	})
 
 	var s state
-	results, err := r.Run(context.Background(), &s, Options{Resume: true})
+	results, err := r.Run(context.Background(), &s, Options{})
 	var pe *StagePanicError
 	if !errors.As(err, &pe) || pe.Stage != "a" {
 		t.Fatalf("error = %v, want *StagePanicError for a", err)
@@ -106,7 +106,7 @@ func TestPanickedRunStaysResumable(t *testing.T) {
 	}
 
 	var s state
-	results, err := mk(true).Run(context.Background(), &s, Options{Resume: true})
+	results, err := mk(true).Run(context.Background(), &s, Options{})
 	var pe *StagePanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("first run error = %v", err)
@@ -116,7 +116,7 @@ func TestPanickedRunStaysResumable(t *testing.T) {
 	}
 
 	s = state{}
-	results, err = mk(false).Run(context.Background(), &s, Options{Resume: true})
+	results, err = mk(false).Run(context.Background(), &s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,9 +61,9 @@ type Stage[S any] struct {
 	// recorded as skipped-degraded instead of running on data that would
 	// make their output misleading; their dependents still run.
 	ToleratePartial bool
-	// Resume, when non-nil and resume mode is on, tries to restore the
-	// stage's outputs from a checkpoint. Returning true skips Run and
-	// records the stage as resumed; returning false falls through to Run.
+	// Resume, when non-nil, tries to restore the stage's outputs from a
+	// checkpoint before Run. Returning true skips Run and records the stage
+	// as resumed; returning false falls through to Run.
 	Resume func(ctx context.Context, s *S, sc *StageContext) (bool, error)
 	// InputHash, when non-nil, fingerprints every input the stage reads:
 	// configuration, external datasets, and upstream outputs (typically by
@@ -82,10 +82,9 @@ type Stage[S any] struct {
 // StageContext scopes instruments to the running stage: names are prefixed
 // "<stage>." in the shared registry and reported per stage.
 type StageContext struct {
-	stage    string
-	reg      *metrics.Registry
-	span     *obs.Span
-	progress *obs.Progress
+	stage string
+	reg   *metrics.Registry
+	span  *obs.Span
 
 	mu    sync.Mutex
 	notes []string
@@ -94,10 +93,6 @@ type StageContext struct {
 // Span returns the stage's trace span (nil when tracing is off; a nil
 // span's methods are no-ops, so stages may use it unconditionally).
 func (sc *StageContext) Span() *obs.Span { return sc.span }
-
-// Progress returns the run's live progress sink (nil-safe no-op when the
-// caller did not install one).
-func (sc *StageContext) Progress() *obs.Progress { return sc.progress }
 
 // Degrade records that the stage completed with partial results (probe
 // loss, exhausted retry budget, ...). The run continues, but subsequent
@@ -192,15 +187,12 @@ type StageResult struct {
 
 // Options tunes one Run call.
 type Options struct {
-	// Resume consults each stage's Resume hook before running it.
-	Resume bool
 	// Tracer, when non-nil, records one span per executed stage (kind
 	// "stage"), a point event per skipped stage, and hands each stage a
 	// child-span handle via StageContext.Span. Nil disables tracing at the
 	// cost of one nil check per instrumented site.
 	Tracer *obs.Tracer
-	// Progress, when non-nil, is told which stage is running; stages feed
-	// it finer-grained gauges through StageContext.Progress.
+	// Progress, when non-nil, is told which stage is running.
 	Progress *obs.Progress
 	// PrevHashes maps stage name to the input hash recorded the last time
 	// the stage ran to a clean completion. A stage whose InputHash matches
@@ -349,10 +341,10 @@ func (r *Runner[S]) Run(ctx context.Context, s *S, opts Options) ([]StageResult,
 		}
 
 		sp := run.Child("stage", name, uint64(oi))
-		sc := &StageContext{stage: name, reg: r.reg, span: sp, progress: opts.Progress}
+		sc := &StageContext{stage: name, reg: r.reg, span: sp}
 
 		status := StatusOK
-		resumed, stageErr := invokeStage(ctx, st, s, sc, opts.Resume)
+		resumed, stageErr := invokeStage(ctx, st, s, sc)
 		if resumed && stageErr == nil {
 			status = StatusResumed
 		}
@@ -396,18 +388,18 @@ func (r *Runner[S]) Run(ctx context.Context, s *S, opts Options) ([]StageResult,
 	return results, nil
 }
 
-// invokeStage runs the stage's Resume (when enabled) and Run hooks with
+// invokeStage runs the stage's Resume (when declared) and Run hooks with
 // panic containment: a panic in either hook is recovered into a
 // *StagePanicError, so a misbehaving stage degrades the run — failed
 // stage, downstream not-run — rather than crashing the process.
-func invokeStage[S any](ctx context.Context, st *Stage[S], s *S, sc *StageContext, resume bool) (resumed bool, err error) {
+func invokeStage[S any](ctx context.Context, st *Stage[S], s *S, sc *StageContext) (resumed bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			resumed = false
 			err = &StagePanicError{Stage: st.Name, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if resume && st.Resume != nil {
+	if st.Resume != nil {
 		resumed, err = st.Resume(ctx, s, sc)
 		if resumed || err != nil {
 			return resumed, err

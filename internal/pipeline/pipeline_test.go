@@ -135,23 +135,16 @@ func TestResumeHook(t *testing.T) {
 	}
 
 	var s state
-	results, err := New[state](nil).Add(mk(true)).Run(context.Background(), &s, Options{Resume: true})
+	results, err := New[state](nil).Add(mk(true)).Run(context.Background(), &s, Options{})
 	if err != nil || results[0].Status != StatusResumed || s.log[0] != "a(resumed)" {
 		t.Fatalf("resumed run: %v %+v %v", err, results, s.log)
 	}
 
 	// Resume returning false falls through to Run.
 	s = state{}
-	results, err = New[state](nil).Add(mk(false)).Run(context.Background(), &s, Options{Resume: true})
+	results, err = New[state](nil).Add(mk(false)).Run(context.Background(), &s, Options{})
 	if err != nil || results[0].Status != StatusOK || s.log[0] != "a(ran)" {
 		t.Fatalf("fallthrough run: %v %+v %v", err, results, s.log)
-	}
-
-	// Without Options.Resume the hook is not consulted.
-	s = state{}
-	results, err = New[state](nil).Add(mk(true)).Run(context.Background(), &s, Options{})
-	if err != nil || results[0].Status != StatusOK || s.log[0] != "a(ran)" {
-		t.Fatalf("no-resume run: %v %+v %v", err, results, s.log)
 	}
 }
 

@@ -53,7 +53,7 @@ func TestRunChunkObsAllocs(t *testing.T) {
 	wc := WorkChunk{VM: VMRef{Cloud: "amazon", Region: 3}, From: 0, To: len(targets)}
 	pol := RetryPolicy{MaxAttempts: 1}
 	perChunk := testing.AllocsPerRun(5, func() {
-		if _, _, err := p.RunChunkObs(context.Background(), nil, nil, wc, targets, pol, 0, -1, 1); err != nil {
+		if _, _, err := p.RunChunkObs(context.Background(), nil, wc, targets, pol, 0, -1, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -82,7 +82,7 @@ func TestCampaignReusesTraceBatches(t *testing.T) {
 	})
 	oneByOne := allocatedBytes(func() {
 		for _, wc := range chunks {
-			if _, _, err := p.RunChunkObs(ctx, nil, nil, wc, targets[wc.From:wc.To], pol, 0, -1, 1); err != nil {
+			if _, _, err := p.RunChunkObs(ctx, nil, wc, targets[wc.From:wc.To], pol, 0, -1, 1); err != nil {
 				t.Fatal(err)
 			}
 		}

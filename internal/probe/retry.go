@@ -178,7 +178,7 @@ func emitFault(sp *obs.Span, dst netblock.IP, attempt int, tSec float64, st Atte
 // stable. budget counts the retries this chunk may still spend (nil =
 // unlimited). sp, when non-nil, receives one "fault" event per faulted
 // attempt and one "retry" event per re-probe.
-func (p *Prober) traceRetry(sp *obs.Span, prog *obs.Progress, sc *tracer, vm route.VM, vmKey uint64, d route.Dest, pol RetryPolicy, epoch uint64, budget *int64, cs *CampaignStats) Status {
+func (p *Prober) traceRetry(sp *obs.Span, sc *tracer, vm route.VM, vmKey uint64, d route.Dest, pol RetryPolicy, epoch uint64, budget *int64, cs *CampaignStats) Status {
 	dst := d.IP
 	tSec := p.inj.ScheduleSec(epoch, vmKey, dst)
 	var status Status
@@ -208,7 +208,6 @@ func (p *Prober) traceRetry(sp *obs.Span, prog *obs.Progress, sc *tracer, vm rou
 				"vtime_sec": strconv.FormatFloat(tSec, 'f', 3, 64),
 			})
 		}
-		prog.RetrySpent()
 		var retryStatus Status
 		sc.hops, retryStatus, st = p.synthesize(sc.hops, &sc.path, vm, d, tSec)
 		cs.Retries++
@@ -335,12 +334,12 @@ func ChunkRetryBudget(budget int64, n, idx int) int64 {
 // under pol and the chunk's retry-budget share (negative = unlimited). The
 // targets slice holds exactly the chunk's targets (wc.From/wc.To label the
 // chunk's position in the campaign; they do not index into targets). lane
-// places the chunk span on a Chrome-trace lane; sp and prog may be nil.
+// places the chunk span on a Chrome-trace lane; sp may be nil.
 // The returned traces and stats are deterministic — identical wherever and
 // whenever the chunk runs. The traces' hops share a few per-chunk arena
 // blocks, so a chunk costs a handful of allocations, not one per trace.
-func (p *Prober) RunChunkObs(ctx context.Context, sp *obs.Span, prog *obs.Progress, wc WorkChunk, targets []netblock.IP, pol RetryPolicy, epoch uint64, budget int64, lane int) ([]Trace, CampaignStats, error) {
-	return p.runChunk(ctx, sp, prog, wc, p.resolve(targets), pol, epoch, budget, lane, make([]Trace, 0, len(targets)))
+func (p *Prober) RunChunkObs(ctx context.Context, sp *obs.Span, wc WorkChunk, targets []netblock.IP, pol RetryPolicy, epoch uint64, budget int64, lane int) ([]Trace, CampaignStats, error) {
+	return p.runChunk(ctx, sp, wc, p.resolve(targets), pol, epoch, budget, lane, make([]Trace, 0, len(targets)))
 }
 
 // resolve resolves campaign targets into forwarder destinations, in order.
@@ -354,7 +353,7 @@ func (p *Prober) resolve(targets []netblock.IP) []route.Dest {
 
 // runChunk is RunChunkObs over resolved destinations, appending the
 // chunk's traces to out, an empty batch whose capacity it reuses.
-func (p *Prober) runChunk(ctx context.Context, sp *obs.Span, prog *obs.Progress, wc WorkChunk, dests []route.Dest, pol RetryPolicy, epoch uint64, budget int64, lane int, out []Trace) ([]Trace, CampaignStats, error) {
+func (p *Prober) runChunk(ctx context.Context, sp *obs.Span, wc WorkChunk, dests []route.Dest, pol RetryPolicy, epoch uint64, budget int64, lane int, out []Trace) ([]Trace, CampaignStats, error) {
 	pol = pol.withDefaults()
 	vm, err := p.vm(wc.VM)
 	if err != nil {
@@ -378,7 +377,7 @@ func (p *Prober) runChunk(ctx context.Context, sp *obs.Span, prog *obs.Progress,
 			csp.End(obs.Attrs{"status": "interrupted"})
 			return nil, cs, fmt.Errorf("probe: campaign interrupted: %w", err)
 		}
-		status := p.traceRetry(csp, prog, sc, vm, vmKey, d, pol, epoch, budgetPtr, &cs)
+		status := p.traceRetry(csp, sc, vm, vmKey, d, pol, epoch, budgetPtr, &cs)
 		out = append(out, Trace{Src: wc.VM, Dst: d.IP, Status: status, Hops: arena.keep(sc.best)})
 	}
 	csp.End(chunkAttrs(cs))
@@ -419,9 +418,10 @@ type ChunkExecutor interface {
 // optional remote executor: each work chunk runs under a span (kind
 // "chunk", keyed by the deterministic chunk index, placed on the Chrome
 // lane of the worker that executed it), fault classifications and retry
-// attempts become journal events on that span, and retries burn down
-// prog's live retry-budget gauge. sp and prog may be nil (no-ops); the hot
-// path then pays one nil check per probe. remote, when non-nil, is offered
+// attempts become journal events on that span, and each delivered chunk's
+// retries burn down prog's live retry-budget gauge, whether the chunk ran
+// locally or remotely. sp and prog may be nil (no-ops); a nil sp costs
+// the hot path one nil check per probe. remote, when non-nil, is offered
 // every chunk first; chunks it declines run locally. Nil runs every chunk
 // locally.
 //
@@ -456,10 +456,11 @@ func (p *Prober) CampaignRetryObsCtx(ctx context.Context, sp *obs.Span, prog *ob
 		default:
 			batch = make([]Trace, 0, campaignChunk)
 		}
-		traces, cs, err := p.runChunk(ctx, sp, prog, c, dests[c.From:c.To], pol, epoch, share, lane, batch)
+		traces, cs, err := p.runChunk(ctx, sp, c, dests[c.From:c.To], pol, epoch, share, lane, batch)
 		return result{traces, cs}, err
 	}, func(_ int, r result) error {
 		total.Merge(r.stats)
+		prog.RetriesSpent(r.stats.Retries)
 		for _, tr := range r.traces {
 			sink(tr)
 		}

@@ -348,7 +348,7 @@ func (s *stubExecutor) RunChunk(ctx context.Context, sp *obs.Span, wc WorkChunk,
 	case wc.Index%2 == 1:
 		return nil, CampaignStats{}, false, nil
 	}
-	traces, cs, err := s.p.RunChunkObs(ctx, sp, nil, wc, targets, pol, epoch, budget, 0)
+	traces, cs, err := s.p.RunChunkObs(ctx, sp, wc, targets, pol, epoch, budget, 0)
 	return traces, cs, err == nil, err
 }
 

@@ -42,7 +42,9 @@ type Config struct {
 	// replayed by epochs whose probing plan is unchanged), and periodic
 	// store checkpoints (checkpoint-*.ckpt). A daemon restarted on the same
 	// StateDir resumes exactly where the previous process stopped — see
-	// recover.go. Empty keeps no durable state: an epoch that could have
+	// recover.go — degradation included: each probing checkpoint's gate
+	// stores its round's fault/retry stats, so a replayed faulted round stays
+	// degraded. Empty keeps no durable state: an epoch that could have
 	// replayed a probing round re-probes it.
 	StateDir string
 	// CheckpointEvery writes a store checkpoint every N epochs (bounding

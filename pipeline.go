@@ -21,7 +21,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"cloudmap/internal/bdrmap"
 	"cloudmap/internal/border"
@@ -46,13 +45,11 @@ type RunOptions struct {
 	// CheckpointDir, when non-empty, persists the probing rounds as binary
 	// v2 tracefiles (campaign.traces.bin, expansion.traces.bin), each with
 	// its probe-plan gate (<round>.traces.bin.plan), plus the run manifest
-	// (manifest.json) in that directory.
+	// (manifest.json) in that directory. A round whose complete checkpoint
+	// carries this run's probing plan in its gate is replayed instead of
+	// re-probed; interrupted, torn or stale checkpoints are re-probed and
+	// overwritten.
 	CheckpointDir string
-	// Resume replays complete campaign checkpoints from CheckpointDir
-	// instead of re-probing; interrupted (trailer-less) checkpoints, and
-	// complete ones whose gate names a different probing plan, are
-	// re-probed from scratch and overwritten. Requires CheckpointDir.
-	Resume bool
 	// Metrics receives every stage's instruments; nil creates a private
 	// registry, exposed on the returned RunReport either way.
 	Metrics *metrics.Registry
@@ -83,12 +80,12 @@ type RunOptions struct {
 // manifestVersion is bumped when the manifest schema changes.
 // Version history: 1 = initial staged manifest; 2 = dataset_hygiene section
 // and the degradation report's dataset fields; 3 = trace section (span
-// counts and journal/trace artefact paths).
-const manifestVersion = 3
+// counts and journal/trace artefact paths); 4 = the run-level resumed flag
+// dropped (stage statuses record which rounds replayed).
+const manifestVersion = 4
 
 // Manifest is the machine-readable record of one pipeline run: enough to
-// regenerate benchmark trajectories mechanically and to validate that a
-// resume matches the run that wrote the checkpoints.
+// regenerate benchmark trajectories mechanically.
 type Manifest struct {
 	Version int `json:"version"`
 	// ConfigHash fingerprints every result-affecting Config field (the
@@ -96,7 +93,6 @@ type Manifest struct {
 	ConfigHash string `json:"config_hash"`
 	Seed       uint64 `json:"seed"`
 	Workers    int    `json:"workers"`
-	Resumed    bool   `json:"resumed"`
 	// Stages holds one telemetry entry per declared stage, in execution
 	// order: name, status, wall time, allocations, scoped counters.
 	Stages []pipeline.StageResult `json:"stages"`
@@ -187,25 +183,11 @@ func StageNames() []string {
 // fails, recording how far it got.
 func RunPipeline(ctx context.Context, sys *System, cfg Config, opts RunOptions) (*Result, *RunReport, error) {
 	cfg = cfg.withDefaults()
-	if opts.Resume && opts.CheckpointDir == "" {
-		return nil, nil, fmt.Errorf("cloudmap: Resume requires CheckpointDir")
-	}
-	hash := configHash(cfg)
-	var prev *Manifest
-	if opts.Resume {
-		var err error
-		if prev, err = loadCompatibleManifest(opts.CheckpointDir, hash); err != nil {
-			return nil, nil, err
-		}
-	}
 	st, err := newPipeState(cfg, opts, sys)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer st.close()
-	if prev != nil && prev.Degradation != nil {
-		st.prevRounds = prev.Degradation.Rounds
-	}
 
 	reg := opts.Metrics
 	if reg == nil {
@@ -232,17 +214,15 @@ func RunPipeline(ctx context.Context, sys *System, cfg Config, opts RunOptions) 
 	}
 
 	stages, err := newRunner(reg).Run(ctx, st, pipeline.Options{
-		Resume:   opts.Resume,
 		Tracer:   tracer,
 		Progress: opts.Progress,
 	})
 	rep := &RunReport{
 		Manifest: Manifest{
 			Version:     manifestVersion,
-			ConfigHash:  hash,
+			ConfigHash:  configHash(cfg),
 			Seed:        cfg.Topology.Seed,
 			Workers:     cfg.Workers,
-			Resumed:     opts.Resume,
 			Stages:      stages,
 			Summary:     st.summary,
 			Degradation: degradationReport(st, stages),
@@ -277,8 +257,7 @@ func RunPipeline(ctx context.Context, sys *System, cfg Config, opts RunOptions) 
 		}
 	}
 	if opts.CheckpointDir != "" {
-		// Written even on failure: the manifest records how far the run got,
-		// and a later resume validates its config hash.
+		// Written even on failure: the manifest records how far the run got.
 		if werr := writeManifest(opts.CheckpointDir, rep); werr != nil && err == nil {
 			err = werr
 		}
@@ -311,11 +290,9 @@ type pipeState struct {
 	// summary is filled by the evaluate stage and lands in the manifest.
 	summary map[string]float64
 	// roundStats collects per-round fault/retry telemetry for the
-	// manifest's degradation report. prevRounds carries the previous run's
-	// telemetry (from the checkpoint dir's manifest) so a resumed round
-	// replays its degradation state along with its traces.
+	// manifest's degradation report; a replayed round restores the stats
+	// its checkpoint gate stored.
 	roundStats map[string]probe.CampaignStats
-	prevRounds map[string]probe.CampaignStats
 
 	// Incremental scheduling: every stage fingerprints its inputs (its
 	// InputHash hook), so a Session can hash-skip stages whose inputs did
@@ -714,11 +691,20 @@ func (s *pipeState) checkpointPath(stage string) string {
 	return filepath.Join(s.opts.CheckpointDir, stage+".traces.bin")
 }
 
+// roundGate is a probing round's checkpoint gate, <round>.traces.bin.plan:
+// the probing plan that wrote the tracefile beside it, and the round's
+// fault/retry stats, so a replay restores the round's degradation along
+// with its traces.
+type roundGate struct {
+	Plan  string               `json:"plan"`
+	Stats *probe.CampaignStats `json:"stats"`
+}
+
 // probeRound runs one probing round under the retry policy, teeing traces
 // into the stage's checkpoint when enabled. epoch separates the virtual
 // fault-time schedules of the two rounds. On error (including cancellation)
 // the partially written checkpoint is flushed without its completeness
-// trailer: loadable, but marked interrupted so a resume re-probes instead
+// trailer: loadable, but marked interrupted so a later run re-probes instead
 // of trusting it. Fault/retry telemetry lands in the stage's instruments,
 // s.roundStats, and — when the round was degraded — a sc.Degrade note.
 func (s *pipeState) probeRound(ctx context.Context, sc *pipeline.StageContext, stage string, epoch uint64, targets []netblock.IP) error {
@@ -750,28 +736,17 @@ func (s *pipeState) probeRound(ctx context.Context, sc *pipeline.StageContext, s
 	}
 	stats, err := s.sys.Prober.CampaignRetryObsCtx(ctx, sc.Span(), s.prog, remote, s.vms, targets, s.cfg.Workers, s.cfg.Retry, epoch, sink)
 	flushSink()
-	// A complete checkpoint gets its probe-plan gate: later epochs, a
-	// resumed run or a restarted daemon with an unchanged plan may replay it.
+	// A complete checkpoint gets its gate: a later run or epoch with an
+	// unchanged plan may replay it.
 	if fw != nil {
 		if err != nil {
 			fw.Close()
 		} else if cerr := fw.Finish(); cerr != nil {
 			err = fmt.Errorf("checkpoint %s: %w", path, cerr)
-		} else if werr := os.WriteFile(path+".plan", []byte(s.probePlanNow[stage]+"\n"), 0o644); werr != nil {
+		} else if werr := writeGate(path+".plan", roundGate{Plan: s.probePlanNow[stage], Stats: &stats}); werr != nil {
 			err = fmt.Errorf("checkpoint gate %s.plan: %w", path, werr)
 		}
 	}
-	s.recordRoundStats(sc, stage, stats)
-	return err
-}
-
-// recordRoundStats exports one round's fault/retry telemetry and flags the
-// stage degraded when the fault layer interfered.
-func (s *pipeState) recordRoundStats(sc *pipeline.StageContext, stage string, stats probe.CampaignStats) {
-	if s.roundStats == nil {
-		s.roundStats = make(map[string]probe.CampaignStats)
-	}
-	s.roundStats[stage] = stats
 	sc.Counter("probes").Add(stats.HopProbes)
 	if stats.Retries > 0 {
 		sc.Counter("retries").Add(stats.Retries)
@@ -792,6 +767,28 @@ func (s *pipeState) recordRoundStats(sc *pipeline.StageContext, stage string, st
 	for i, n := range stats.Attempts {
 		attempts.ObserveN(int64(i+1), n)
 	}
+	s.noteRound(sc, stage, stats)
+	return err
+}
+
+// writeGate writes a round's gate file as one JSON line.
+func writeGate(path string, g roundGate) error {
+	data, err := json.Marshal(g)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// noteRound records one round's fault/retry stats for the degradation
+// report and flags the stage degraded when the fault layer interfered. A
+// live round and a replay of its checkpoint note the same stats; only the
+// live round counts probes, since a replay sends none.
+func (s *pipeState) noteRound(sc *pipeline.StageContext, stage string, stats probe.CampaignStats) {
+	if s.roundStats == nil {
+		s.roundStats = make(map[string]probe.CampaignStats)
+	}
+	s.roundStats[stage] = stats
 	if stats.Degraded() {
 		note := fmt.Sprintf("%s round: lost %d, rate-limited %d, outage attempts %d, flap-truncated %d of %d probes (%d retries spent)",
 			stage, stats.Lost, stats.RateLimited, stats.Outages, stats.Flapped, stats.HopProbes, stats.Retries)
@@ -805,7 +802,8 @@ func (s *pipeState) recordRoundStats(sc *pipeline.StageContext, stage string, st
 // resumeRound replays a complete checkpoint into the round's sink. prepare
 // runs only once the checkpoint is known to be usable (e.g. BeginRound2).
 // A missing, torn or partial checkpoint falls through to live probing, as
-// does a complete one recorded under a different probing plan.
+// does a complete one whose gate is unreadable, lacks a field, or names a
+// different probing plan.
 func (s *pipeState) resumeRound(ctx context.Context, stage string, sc *pipeline.StageContext, prepare func()) (bool, error) {
 	path := s.checkpointPath(stage)
 	if path == "" {
@@ -832,13 +830,11 @@ func (s *pipeState) resumeRound(ctx context.Context, stage string, sc *pipeline.
 		return false, nil
 	}
 	// A complete checkpoint is only a faithful substitute for live probing
-	// while the probing plan that wrote it still holds. A missing or torn
-	// gate file mismatches and re-probes — safe.
-	var gate string
-	if data, rerr := os.ReadFile(path + ".plan"); rerr == nil {
-		gate = strings.TrimSpace(string(data))
-	}
-	if gate != s.probePlanNow[stage] {
+	// while the probing plan that wrote it still holds, and only with the
+	// stats that say how degraded its traces are.
+	var gate roundGate
+	data, err := os.ReadFile(path + ".plan")
+	if err != nil || json.Unmarshal(data, &gate) != nil || gate.Stats == nil || gate.Plan != s.probePlanNow[stage] {
 		sc.Counter("checkpoint-stale").Inc()
 		return false, nil
 	}
@@ -855,13 +851,7 @@ func (s *pipeState) resumeRound(ctx context.Context, stage string, sc *pipeline.
 		return false, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	sc.Counter("replayed").Add(int64(sum.Traces))
-	// A checkpoint from a degraded round replays degraded traces; restore
-	// the round's fault/retry telemetry from the manifest that accompanied
-	// it, so the resumed run re-raises the degradation (and keeps bdrmap
-	// sitting it out) instead of silently treating the data as clean.
-	if cs, ok := s.prevRounds[stage]; ok {
-		s.recordRoundStats(sc, stage, cs)
-	}
+	s.noteRound(sc, stage, *gate.Stats)
 	return true, nil
 }
 
@@ -1023,10 +1013,10 @@ func (s *pipeState) evaluate(_ context.Context, sc *pipeline.StageContext) error
 	return nil
 }
 
-// configHash fingerprints the result-affecting part of a Config. The trace
-// sink is a function and Workers never changes output (parallel campaigns
-// are order-deterministic), so both are excluded — a checkpoint taken on an
-// 8-core box resumes on a 64-core one. The fault plan is a pointer, which
+// configHash fingerprints the result-affecting part of a Config for the
+// manifest. The trace sink is a function and Workers never changes output
+// (parallel campaigns are order-deterministic), so both are excluded — runs
+// on an 8-core and a 64-core box share a hash. The fault plan is a pointer, which
 // %#v would print as an address (different every run); it is folded in via
 // its canonical JSON instead.
 func configHash(cfg Config) string {
@@ -1046,30 +1036,6 @@ func configHash(cfg Config) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// manifestPath names the manifest inside a checkpoint dir.
-func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
-
-// loadCompatibleManifest reads the checkpoint dir's manifest, refusing to
-// resume over checkpoints written by a different configuration. A missing
-// manifest returns nil (stage checkpoints decide on their own).
-func loadCompatibleManifest(dir, hash string) (*Manifest, error) {
-	raw, err := os.ReadFile(manifestPath(dir))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("cloudmap: manifest: %w", err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("cloudmap: manifest: %w", err)
-	}
-	if m.ConfigHash != hash {
-		return nil, fmt.Errorf("cloudmap: checkpoint dir %s was written with config hash %s, current config hashes to %s: refusing to resume", dir, m.ConfigHash, hash)
-	}
-	return &m, nil
-}
-
 // writeChromeTrace persists the tracer's buffered Chrome trace events.
 func writeChromeTrace(path string, tracer *obs.Tracer) error {
 	f, err := os.Create(path)
@@ -1087,7 +1053,7 @@ func writeChromeTrace(path string, tracer *obs.Tracer) error {
 }
 
 func writeManifest(dir string, rep *RunReport) error {
-	f, err := os.Create(manifestPath(dir))
+	f, err := os.Create(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		return fmt.Errorf("cloudmap: manifest: %w", err)
 	}

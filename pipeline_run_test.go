@@ -132,14 +132,14 @@ func TestCancelMidCampaignLeavesPartialCheckpoint(t *testing.T) {
 		t.Fatalf("stored manifest invalid: %v", err)
 	}
 
-	// Resuming over the partial checkpoint re-probes: the checkpoint is
+	// Rerunning over the partial checkpoint re-probes: the checkpoint is
 	// incomplete, so the Resume hook must decline it.
 	if testing.Short() {
 		t.Skip("re-probe comparison skipped in -short mode")
 	}
 	cfg2 := SmallConfig()
 	cfg2.Topology.Seed = 42
-	res2, rep2, err := RunPipeline(context.Background(), nil, cfg2, RunOptions{CheckpointDir: dir, Resume: true})
+	res2, rep2, err := RunPipeline(context.Background(), nil, cfg2, RunOptions{CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestInterruptAfterCampaignResumes(t *testing.T) {
 	// Resume: round 1 replays from the checkpoint, round 2 re-probes.
 	cfgC := SmallConfig()
 	cfgC.Topology.Seed = 99
-	resC, repC, err := RunPipeline(context.Background(), nil, cfgC, RunOptions{CheckpointDir: dir, Resume: true})
+	resC, repC, err := RunPipeline(context.Background(), nil, cfgC, RunOptions{CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,22 +242,34 @@ func TestInterruptAfterCampaignResumes(t *testing.T) {
 		t.Fatal("resumed run diverged from the uninterrupted run")
 	}
 
-	// A config change invalidates the checkpoint dir.
+	// A config change re-probes: both rounds' gates name another probing
+	// plan (checkpoint-stale), and the run matches an uninterrupted run of
+	// the new config.
 	cfgD := SmallConfig()
 	cfgD.Topology.Seed = 100
-	if _, _, err := RunPipeline(context.Background(), nil, cfgD, RunOptions{CheckpointDir: dir, Resume: true}); err == nil {
-		t.Fatal("resume with a different config accepted")
+	resD, repD, err := RunPipeline(context.Background(), nil, cfgD, RunOptions{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range repD.Manifest.Stages {
+		if st.Name == "campaign" || st.Name == "expansion" {
+			if st.Status != pipeline.StatusOK || st.Counters["checkpoint-stale"] != 1 {
+				t.Errorf("%s after a config change: status %q, counters %+v; want a checkpoint-stale re-probe", st.Name, st.Status, st.Counters)
+			}
+		}
+	}
+	cfgE := SmallConfig()
+	cfgE.Topology.Seed = 100
+	refD, err := Run(cfgE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resD.Report() != refD.Report() {
+		t.Fatal("re-probed run under a changed config diverged from an uninterrupted run")
 	}
 }
 
-// TestRunOptionsValidation covers the option-surface error paths.
-func TestRunOptionsValidation(t *testing.T) {
-	if _, _, err := RunPipeline(context.Background(), nil, SmallConfig(), RunOptions{Resume: true}); err == nil {
-		t.Fatal("Resume without CheckpointDir accepted")
-	}
-}
-
-// TestConfigHashStability pins the hash semantics resume depends on: the
+// TestConfigHashStability pins the manifest config-hash semantics: the
 // machine-dependent and output-invariant fields must not affect the hash,
 // everything else must.
 func TestConfigHashStability(t *testing.T) {
@@ -316,7 +328,7 @@ func TestTornBinaryCheckpointReprobes(t *testing.T) {
 
 			cfg2 := SmallConfig()
 			cfg2.Topology.Seed = 7
-			res, rep, err := RunPipeline(context.Background(), nil, cfg2, RunOptions{CheckpointDir: dir, Resume: true})
+			res, rep, err := RunPipeline(context.Background(), nil, cfg2, RunOptions{CheckpointDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -356,7 +368,7 @@ func TestResumeWorkerInvariance(t *testing.T) {
 		cfgW := SmallConfig()
 		cfgW.Topology.Seed = 33
 		cfgW.Workers = workers
-		res, rep, err := RunPipeline(context.Background(), nil, cfgW, RunOptions{CheckpointDir: dir, Resume: true})
+		res, rep, err := RunPipeline(context.Background(), nil, cfgW, RunOptions{CheckpointDir: dir})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -372,10 +384,11 @@ func TestResumeWorkerInvariance(t *testing.T) {
 }
 
 // TestStalePlanCheckpointReprobes: a complete checkpoint whose probe-plan
-// gate (<round>.traces.bin.plan) names a different probing plan is not a
-// faithful substitute for live probing. A one-shot resume over it re-probes
-// (status ok, counter checkpoint-stale) and matches an uninterrupted run;
-// the re-probe rewrites the gate, so the next resume replays.
+// gate (<round>.traces.bin.plan) does not vouch for it is not a faithful
+// substitute for live probing. A gate that is not JSON (the bare-hash form),
+// names a different probing plan, or lacks the round's stats makes a
+// one-shot run re-probe (status ok, counter checkpoint-stale) and match an
+// uninterrupted run; the re-probe rewrites the gate, so the next run replays.
 func TestStalePlanCheckpointReprobes(t *testing.T) {
 	cfg := SmallConfig()
 	dir := t.TempDir()
@@ -383,8 +396,12 @@ func TestStalePlanCheckpointReprobes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "campaign.traces.bin.plan"), []byte("0123456789abcdef\n"), 0o644); err != nil {
+	gatePath := filepath.Join(dir, "campaign.traces.bin.plan")
+	var gate roundGate
+	if raw, err := os.ReadFile(gatePath); err != nil {
 		t.Fatal(err)
+	} else if err := json.Unmarshal(raw, &gate); err != nil || gate.Plan == "" || gate.Stats == nil {
+		t.Fatalf("gate %q: %v", raw, err)
 	}
 	campaign := func(rep *RunReport) pipeline.StageResult {
 		for _, st := range rep.Manifest.Stages {
@@ -395,19 +412,28 @@ func TestStalePlanCheckpointReprobes(t *testing.T) {
 		t.Fatal("campaign stage missing from the manifest")
 		return pipeline.StageResult{}
 	}
-	res, rep, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir, Resume: true})
-	if err != nil {
-		t.Fatal(err)
+	for _, stale := range []string{
+		"0123456789abcdef\n",
+		`{"plan":"0123456789abcdef","stats":{}}`,
+		`{"plan":"` + gate.Plan + `"}`,
+	} {
+		if err := os.WriteFile(gatePath, []byte(stale), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, rep, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := campaign(rep); st.Status != pipeline.StatusOK {
+			t.Fatalf("campaign behind gate %q: status %q, want re-probed ok", stale, st.Status)
+		} else if st.Counters["checkpoint-stale"] != 1 {
+			t.Errorf("stale gate %q not recorded: %+v", stale, st.Counters)
+		}
+		if res.Report() != ref.Report() {
+			t.Fatalf("re-probed run behind gate %q diverged from an uninterrupted run", stale)
+		}
 	}
-	if st := campaign(rep); st.Status != pipeline.StatusOK {
-		t.Fatalf("campaign over a stale checkpoint: status %q, want re-probed ok", st.Status)
-	} else if st.Counters["checkpoint-stale"] != 1 {
-		t.Errorf("stale gate not recorded: %+v", st.Counters)
-	}
-	if res.Report() != ref.Report() {
-		t.Fatal("re-probed run diverged from an uninterrupted run")
-	}
-	_, rep, err = RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir, Resume: true})
+	_, rep, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ sh scripts/crash_smoke.sh "${CLOUDMAPD_CRASH_DIR:-$(mktemp -d)}"
 echo "==> distributed-probing smoke (3-agent fleet, kill -9 one agent mid-chunk)"
 sh scripts/agent_smoke.sh "${CLOUDMAPD_AGENT_DIR:-$(mktemp -d)}"
 
-echo "==> tracefile inspection smoke (-stat says complete, -cat prints every record)"
+echo "==> tracefile inspection + replay smoke (-stat says complete, -cat prints every record, a rerun replays)"
 RT_DIR="$(mktemp -d)"
 go build -o "$RT_DIR/" ./cmd/cloudmap ./cmd/tracedump
 "$RT_DIR/cloudmap" -scale small -traces "$RT_DIR/camp.traces.bin" >/dev/null
@@ -116,6 +116,19 @@ if [ -z "$RECORDS" ] || [ "$LINES" -ne "$RECORDS" ]; then
 	echo "tracedump -cat printed $LINES lines for $RECORDS records" >&2
 	exit 1
 fi
+# Replay: a second run on the same checkpoint dir replays both probing
+# rounds (their gates match) and writes a byte-identical report.
+for n in 1 2; do
+	"$RT_DIR/cloudmap" -scale small -checkpoint-dir "$RT_DIR/ckpt" \
+		-metrics-out "$RT_DIR/m$n.json" -o "$RT_DIR/r$n.txt" >/dev/null
+done
+cmp "$RT_DIR/r1.txt" "$RT_DIR/r2.txt"
+for round in campaign expansion; do
+	grep -A1 "\"name\": \"$round\"" "$RT_DIR/m2.json" | grep -q '"status": "resumed"' || {
+		echo "replay smoke: $round was not resumed by the second run" >&2
+		exit 1
+	}
+done
 rm -rf "$RT_DIR"
 
 echo "==> fuzz smoke (${FUZZ_SECONDS}s per target)"
