@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sync/atomic"
 
 	"cloudmap/internal/model"
 	"cloudmap/internal/netblock"
@@ -225,9 +224,10 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("verdict(%d)", uint8(v))
 }
 
-// Injector evaluates a Plan against a topology. It is stateless apart from
-// telemetry counters, so it is safe for concurrent use and its decisions are
-// independent of evaluation order. A nil *Injector is valid and injects
+// Injector evaluates a Plan against a topology. It is stateless, so it is
+// safe for concurrent use and its decisions are independent of evaluation
+// order. It keeps no counters: the prober counts what it did to each
+// attempt (probe.AttemptStats). A nil *Injector is valid and injects
 // nothing — callers never need to branch.
 type Injector struct {
 	plan Plan
@@ -238,20 +238,6 @@ type Injector struct {
 	// admitProb / burstAdmitProb are the fluid-bucket admission
 	// probabilities for steady and post-idle windows.
 	admitProb, burstAdmitProb float64
-
-	// Telemetry (atomic; sums are order-independent and thus deterministic).
-	lost        atomic.Int64
-	rateLimited atomic.Int64
-	flapDrops   atomic.Int64
-	outages     atomic.Int64
-}
-
-// Stats is a snapshot of the injector's fault telemetry.
-type Stats struct {
-	Lost        int64 // probes dropped in bursty-loss windows
-	RateLimited int64 // replies suppressed by router ICMP limiters
-	FlapDrops   int64 // probes dropped on a flapped interconnection link
-	Outages     int64 // probe attempts refused by a region outage
 }
 
 // New builds an injector for the plan over the topology. The plan is
@@ -331,7 +317,6 @@ func (in *Injector) ReplyVerdict(r model.RouterID, dst netblock.IP, salt uint64,
 		w := window(tSec, l.WindowSec)
 		if rng.Unit(in.hash(saltLossWin, uint64(r), w)) < l.WindowProb &&
 			rng.Unit(in.hash(saltLossDrop, uint64(r), uint64(dst), salt, w)) < l.LossProb {
-			in.lost.Add(1)
 			return VerdictLost
 		}
 	}
@@ -345,7 +330,6 @@ func (in *Injector) ReplyVerdict(r model.RouterID, dst netblock.IP, salt uint64,
 			admit = in.burstAdmitProb
 		}
 		if rng.Unit(in.hash(saltRateAdmit, uint64(r), uint64(dst), salt, w)) >= admit {
-			in.rateLimited.Add(1)
 			return VerdictRateLimited
 		}
 	}
@@ -367,11 +351,7 @@ func (in *Injector) LinkUp(l model.LinkID, tSec float64) bool {
 	}
 	// The flap occupies the head of the window.
 	frac := tSec/f.WindowSec - float64(w)
-	if frac < f.DownFrac {
-		in.flapDrops.Add(1)
-		return false
-	}
-	return true
+	return frac >= f.DownFrac
 }
 
 // RegionUp reports whether a cloud region's probing VMs are alive at tSec.
@@ -384,26 +364,7 @@ func (in *Injector) RegionUp(c model.CloudID, region int, tSec float64) bool {
 		return true
 	}
 	w := window(tSec, o.WindowSec)
-	if rng.Unit(in.hash(saltOutage, uint64(c)<<16|uint64(region), w)) < o.Prob {
-		in.outages.Add(1)
-		return false
-	}
-	return true
-}
-
-// Stats snapshots the injector's telemetry counters. Counts are sums of
-// deterministic per-probe events, so they are identical across runs and
-// worker counts; a nil injector reports zeros.
-func (in *Injector) Stats() Stats {
-	if in == nil {
-		return Stats{}
-	}
-	return Stats{
-		Lost:        in.lost.Load(),
-		RateLimited: in.rateLimited.Load(),
-		FlapDrops:   in.flapDrops.Load(),
-		Outages:     in.outages.Load(),
-	}
+	return rng.Unit(in.hash(saltOutage, uint64(c)<<16|uint64(region), w)) >= o.Prob
 }
 
 // window maps a virtual time onto its window index (window 0 for t<=0).

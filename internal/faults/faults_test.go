@@ -51,9 +51,6 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 	if got := in.HorizonSec(); got != 0 {
 		t.Fatalf("nil injector horizon = %v, want 0", got)
 	}
-	if s := in.Stats(); s != (Stats{}) {
-		t.Fatalf("nil injector stats = %+v, want zeros", s)
-	}
 }
 
 // TestNewNilPlan pins that a nil plan yields a (valid) nil injector.

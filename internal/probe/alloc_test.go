@@ -11,6 +11,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"cloudmap/internal/faults"
 	"cloudmap/internal/netblock"
 )
 
@@ -39,6 +40,40 @@ func TestTracerouteAtAllocs(t *testing.T) {
 	}) / float64(len(sample))
 	if perCall > 1 {
 		t.Fatalf("TracerouteAt allocates %.4f times per call, want at most 1", perCall)
+	}
+}
+
+// TestTraceRetryAllocs: under the moderate fault plan with retries, a
+// target's attempts share its path and reply draws, so once the chunk's
+// scratch has grown to the longest trace, probing a target — faulted and
+// retried or not — allocates nothing.
+func TestTraceRetryAllocs(t *testing.T) {
+	tp, p := newProber(t)
+	inj, err := faults.New(moderateTestPlan(), tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetFaults(inj)
+	dests := p.resolve(Round1Targets(tp, Round1Options{})[:campaignChunk])
+	vm, err := p.vm(VMRef{Cloud: "amazon", Region: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vmKey := uint64(vm.Cloud)<<16 | uint64(vm.Region)
+	pol := DefaultRetryPolicy().withDefaults()
+	sc := new(tracer)
+	var cs CampaignStats
+	probeAll := func() {
+		for _, d := range dests {
+			p.traceRetry(nil, sc, vm, vmKey, d, pol, 1, nil, &cs)
+		}
+	}
+	probeAll() // grow the scratch and the attempts histogram
+	if cs.Retries == 0 {
+		t.Fatalf("no target was retried under the moderate plan: %+v", cs)
+	}
+	if perTarget := testing.AllocsPerRun(5, probeAll) / float64(len(dests)); perTarget != 0 {
+		t.Fatalf("traceRetry allocates %.4f times per target, want 0", perTarget)
 	}
 }
 

@@ -35,9 +35,15 @@ func (p *Prober) pathInfo(vm route.VM, addr netblock.IP) pingInfo {
 	// Compute outside the lock: path computation is pure, and a duplicate
 	// computation under contention yields the identical value. The path
 	// lives in pooled tracer scratch; only its destination fields are kept.
+	// Pings and alias probes take their path at virtual time zero, so a
+	// link flapped then leaves the destination unreachable.
 	sc := p.tracers.Get().(*tracer)
-	p.f.TraceInto(&sc.path, vm, p.f.Dest(addr), 0)
-	info := pingInfo{ok: sc.path.DstResponds, iface: sc.path.DstIface, rtt: sc.path.DstRTT}
+	path := &sc.path
+	p.f.TraceInto(path, vm, p.f.Dest(addr))
+	info := pingInfo{ok: path.DstResponds, iface: path.DstIface, rtt: path.DstRTT}
+	if p.flapped(path, 0) {
+		info = pingInfo{iface: model.NoIface}
+	}
 	p.tracers.Put(sc)
 	p.cacheMu.Lock()
 	if p.pingCache == nil {

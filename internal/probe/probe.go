@@ -87,8 +87,9 @@ type Prober struct {
 	cacheMu   sync.Mutex
 	pingCache map[pingKey]pingInfo
 
-	// inj, when non-nil, applies reply-level faults (rate limiting, bursty
-	// loss) and region outages; the forwarder handles link flaps.
+	// inj, when non-nil, applies every fault: reply-level rate limiting and
+	// bursty loss, region outages, and link flaps, which cut a forwarder
+	// path where it crosses the flapped link. The forwarder is fault-free.
 	inj *faults.Injector
 
 	// tracers recycles synthesis scratch across TracerouteAt calls.
@@ -124,14 +125,10 @@ func NewProber(t *model.Topology, f *route.Forwarder) *Prober {
 // code, never by inference).
 func (p *Prober) Forwarder() *route.Forwarder { return p.f }
 
-// SetFaults installs a fault injector on the prober AND its forwarder, so
-// reply-level faults and link flaps share one timeline. A nil injector
-// restores fault-free probing. Call before probing starts — the injector is
-// read without synchronisation.
-func (p *Prober) SetFaults(inj *faults.Injector) {
-	p.inj = inj
-	p.f.SetFaults(inj)
-}
+// SetFaults installs a fault injector. A nil injector restores fault-free
+// probing. Call before probing starts — the injector is read without
+// synchronisation.
+func (p *Prober) SetFaults(inj *faults.Injector) { p.inj = inj }
 
 // vm resolves a VMRef against the topology.
 func (p *Prober) vm(ref VMRef) (route.VM, error) {
@@ -212,31 +209,104 @@ func (p *Prober) TracerouteAt(ref VMRef, dst netblock.IP, tSec float64) (Trace, 
 		return Trace{}, AttemptStats{}, err
 	}
 	sc := p.tracers.Get().(*tracer)
+	sc.target()
 	var status Status
 	var st AttemptStats
-	sc.hops, status, st = p.synthesize(sc.hops, &sc.path, vm, p.f.Dest(dst), tSec)
+	sc.hops, status, st = p.synthesize(sc, sc.hops, vm, p.f.Dest(dst), tSec)
 	tr := Trace{Src: ref, Dst: dst, Status: status, Hops: make([]Hop, len(sc.hops))}
 	copy(tr.Hops, sc.hops)
 	p.tracers.Put(sc)
 	return tr, st, nil
 }
 
-// tracer is one goroutine's traceroute-synthesis scratch: the forwarder
-// path and two hop buffers, the attempt being synthesized (hops) and the
-// best attempt kept for retry selection (best). Its contents are valid only
-// until its next use; traces handed out copy the hops they keep.
+// tracer is one goroutine's traceroute-synthesis scratch, holding one
+// target at a time: the target's path and reply draws, which every attempt
+// at the target shares, and two hop buffers, the attempt being synthesized
+// (hops) and the best attempt kept for retry selection (best). Its contents
+// are valid only until its next target; traces handed out copy the hops
+// they keep.
 type tracer struct {
-	path route.Path
-	hops []Hop
-	best []Hop
+	// path is the target's fault-free path, valid once traced is set. An
+	// attempt refused by a region outage never traces, so a later attempt
+	// at the same target may be the first to.
+	path   route.Path
+	traced bool
+	// draws memoises the reply draws of path's hops, then of the
+	// destination, filled lazily in that order: draws[i] belongs to
+	// path.Hops[i] and draws[len(path.Hops)] to the destination. Every
+	// attempt walks the path from its first hop, so the memo is always a
+	// prefix of the path.
+	draws []hopDraw
+	hops  []Hop
+	best  []Hop
 }
 
-// synthesize runs one traceroute attempt from vm to the resolved
-// destination d at virtual time tSec. It returns the attempt's hops,
-// written over buf's backing array, with its termination status and fault
-// stats. path is the forwarder scratch. Once buf and path have grown to the
+// target points the scratch at a new target: its path and draws are
+// computed afresh on first use.
+func (sc *tracer) target() {
+	sc.traced = false
+	sc.draws = sc.draws[:0]
+}
+
+// hopDraw is a hop's reply to one target's probes as it leaves the router,
+// before the fault layer has its say. None of it depends on the send time.
+type hopDraw struct {
+	rtt      float64 // base RTT plus queueing jitter
+	responds bool    // the router answers the probe at all
+	// loop marks the rare forwarding-loop artefact: the reply repeats the
+	// hop before the previous one.
+	loop bool
+}
+
+// drawHop draws path hop hi's reply to probes toward dst from vm; router
+// owns the hop's interface. Only a hop that answers uses the hop hash, for
+// its jitter and loop artefact, but the hash is drawn before the response
+// all the same: the two hash chains are independent, so the CPU runs them
+// side by side, and a fault-free traceroute measured slower when the hash
+// waited on the response.
+func (p *Prober) drawHop(hop route.HopTemplate, router *model.Router, dst netblock.IP, vm route.VM, hi int) hopDraw {
+	h := p.hash(uint64(hop.Iface), uint64(dst), uint64(vm.Cloud)<<8|uint64(vm.Region), uint64(hi))
+	if !p.responds(router, dst, vm, hi) {
+		return hopDraw{}
+	}
+	return hopDraw{
+		rtt:      hop.RTT + p.jitter(h),
+		responds: true,
+		loop:     hi > 2 && rng.Unit(rng.Mix64(h^0x2222)) < p.loopProb,
+	}
+}
+
+// drawDst draws the destination's reply to probes from vm along path.
+func (p *Prober) drawDst(path *route.Path, dst netblock.IP, vm route.VM) hopDraw {
+	var dr hopDraw
+	if path.DstIface != model.NoIface {
+		dr.responds = p.responds(p.t.IfaceRouter(path.DstIface), dst, vm, 99)
+	} else {
+		dr.responds = rng.Unit(p.hash(uint64(dst), 0xdddd)) < 0.95
+	}
+	if dr.responds {
+		dr.rtt = path.DstRTT + p.jitter(p.hash(uint64(dst), uint64(vm.Cloud), 0xeeee))
+	}
+	return dr
+}
+
+// flapped reports whether a link flap at virtual time tSec cuts path: the
+// probe dies after the path's first FlapHops hops and the destination never
+// answers. Fault windows are long relative to RTTs, so the whole path is
+// evaluated at the send time.
+func (p *Prober) flapped(path *route.Path, tSec float64) bool {
+	return path.FlapLink != model.NoLink && !p.inj.LinkUp(path.FlapLink, tSec)
+}
+
+// synthesize runs one traceroute attempt at virtual time tSec toward the
+// target sc holds (see tracer.target), from vm to its resolved destination
+// d. It returns the attempt's hops, written over buf's backing array, with
+// its termination status and fault stats. The target's first attempt that
+// sends computes the path and draws the replies; later attempts re-evaluate
+// only what the send time changes: the region outage, the link flap and
+// the fault layer's reply verdicts. Once buf and sc have grown to the
 // longest trace, an attempt allocates nothing.
-func (p *Prober) synthesize(buf []Hop, path *route.Path, vm route.VM, d route.Dest, tSec float64) ([]Hop, Status, AttemptStats) {
+func (p *Prober) synthesize(sc *tracer, buf []Hop, vm route.VM, d route.Dest, tSec float64) ([]Hop, Status, AttemptStats) {
 	var st AttemptStats
 	dst := d.IP
 	hops := buf[:0]
@@ -250,17 +320,27 @@ func (p *Prober) synthesize(buf []Hop, path *route.Path, vm route.VM, d route.De
 		}
 		return hops, StatusGapLimit, st
 	}
-	p.f.TraceInto(path, vm, d, tSec)
-	st.Flapped = path.Truncated
+	path := &sc.path
+	if !sc.traced {
+		p.f.TraceInto(path, vm, d)
+		sc.traced = true
+	}
+	pathHops, dstResponds := path.Hops, path.DstResponds
+	if p.flapped(path, tSec) {
+		st.Flapped = true
+		pathHops, dstResponds = pathHops[:path.FlapHops], false
+	}
 	gap := 0
 
-	for hi, hop := range path.Hops {
+	for hi, hop := range pathHops {
 		iface := &p.t.Ifaces[hop.Iface]
 		router := &p.t.Routers[iface.Router]
-		h := p.hash(uint64(hop.Iface), uint64(dst), uint64(vm.Cloud)<<8|uint64(vm.Region), uint64(hi))
-
+		if hi == len(sc.draws) {
+			sc.draws = append(sc.draws, p.drawHop(hop, router, dst, vm, hi))
+		}
+		dr := &sc.draws[hi]
 		st.Sent++
-		if !p.responds(router, dst, vm, hi) {
+		if !dr.responds {
 			hops = append(hops, Hop{})
 			gap++
 			if gap >= gapLimit {
@@ -291,44 +371,40 @@ func (p *Prober) synthesize(buf []Hop, path *route.Path, vm route.VM, d route.De
 			addr = lb
 		}
 		// Rare forwarding loop artefact: repeat an earlier hop.
-		if len(hops) > 2 && rng.Unit(rng.Mix64(h^0x2222)) < p.loopProb {
+		if dr.loop {
 			prev := hops[len(hops)-2]
 			if prev.Responsive() {
-				hops = append(hops, Hop{Addr: prev.Addr, RTTms: hop.RTT + p.jitter(h)})
+				hops = append(hops, Hop{Addr: prev.Addr, RTTms: dr.rtt})
 				return hops, StatusLoop, st
 			}
 		}
 		if repeatsEarlier(hops, addr) {
-			hops = append(hops, Hop{Addr: addr, RTTms: hop.RTT + p.jitter(h)})
+			hops = append(hops, Hop{Addr: addr, RTTms: dr.rtt})
 			return hops, StatusLoop, st
 		}
-		hops = append(hops, Hop{Addr: addr, RTTms: hop.RTT + p.jitter(h)})
+		hops = append(hops, Hop{Addr: addr, RTTms: dr.rtt})
 	}
 
 	// Destination.
-	if path.DstResponds {
+	if dstResponds {
 		st.Sent++
-		responderOK := true
-		if path.DstIface != model.NoIface {
-			router := p.t.IfaceRouter(path.DstIface)
-			responderOK = p.responds(router, dst, vm, 99)
-			if responderOK {
-				switch p.inj.ReplyVerdict(router.ID, dst, hopSalt(vm, 0xdd57), tSec) {
-				case faults.VerdictLost:
-					st.Lost++
-					responderOK = false
-				case faults.VerdictRateLimited:
-					st.RateLimited++
-					responderOK = false
-				}
+		if len(sc.draws) == len(path.Hops) {
+			sc.draws = append(sc.draws, p.drawDst(path, dst, vm))
+		}
+		dr := &sc.draws[len(path.Hops)]
+		responderOK := dr.responds
+		if responderOK && path.DstIface != model.NoIface {
+			switch p.inj.ReplyVerdict(p.t.IfaceRouter(path.DstIface).ID, dst, hopSalt(vm, 0xdd57), tSec) {
+			case faults.VerdictLost:
+				st.Lost++
+				responderOK = false
+			case faults.VerdictRateLimited:
+				st.RateLimited++
+				responderOK = false
 			}
-		} else {
-			h := p.hash(uint64(dst), 0xdddd)
-			responderOK = rng.Unit(h) < 0.95
 		}
 		if responderOK {
-			h := p.hash(uint64(dst), uint64(vm.Cloud), 0xeeee)
-			hops = append(hops, Hop{Addr: dst, RTTms: path.DstRTT + p.jitter(h)})
+			hops = append(hops, Hop{Addr: dst, RTTms: dr.rtt})
 			return hops, StatusCompleted, st
 		}
 	}

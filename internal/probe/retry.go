@@ -181,9 +181,10 @@ func emitFault(sp *obs.Span, dst netblock.IP, attempt int, tSec float64, st Atte
 func (p *Prober) traceRetry(sp *obs.Span, sc *tracer, vm route.VM, vmKey uint64, d route.Dest, pol RetryPolicy, epoch uint64, budget *int64, cs *CampaignStats) Status {
 	dst := d.IP
 	tSec := p.inj.ScheduleSec(epoch, vmKey, dst)
+	sc.target()
 	var status Status
 	var st AttemptStats
-	sc.best, status, st = p.synthesize(sc.best, &sc.path, vm, d, tSec)
+	sc.best, status, st = p.synthesize(sc, sc.best, vm, d, tSec)
 	cs.Targets++
 	cs.observe(st)
 	if st.Faulted() {
@@ -209,7 +210,7 @@ func (p *Prober) traceRetry(sp *obs.Span, sc *tracer, vm route.VM, vmKey uint64,
 			})
 		}
 		var retryStatus Status
-		sc.hops, retryStatus, st = p.synthesize(sc.hops, &sc.path, vm, d, tSec)
+		sc.hops, retryStatus, st = p.synthesize(sc, sc.hops, vm, d, tSec)
 		cs.Retries++
 		cs.observe(st)
 		if st.Faulted() {

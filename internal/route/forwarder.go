@@ -4,13 +4,13 @@
 //
 // The probe engine (internal/probe) asks this package for the hop-by-hop
 // path a packet takes; everything about replies (responsiveness, RTT jitter,
-// IP-ID values) is layered on top by the prober.
+// IP-ID values) and every injected fault, link flaps included, is layered
+// on top by the prober.
 package route
 
 import (
 	"sync/atomic"
 
-	"cloudmap/internal/faults"
 	"cloudmap/internal/geo"
 	"cloudmap/internal/model"
 	"cloudmap/internal/netblock"
@@ -53,10 +53,6 @@ type Forwarder struct {
 	// regionBase[c] is the memo row of cloud c's region 0: clouds' regions
 	// are numbered consecutively across the topology.
 	regionBase []int
-
-	// inj, when non-nil, injects link flaps into path computation (TraceAt).
-	// All other fault dimensions are reply-level and live in the prober.
-	inj *faults.Injector
 }
 
 type egressChoice struct {
@@ -138,11 +134,6 @@ func NewForwarder(t *model.Topology) *Forwarder {
 	}
 	return f
 }
-
-// SetFaults installs a fault injector; forwarding consults it for link
-// flaps. A nil injector restores fault-free forwarding. Call before probing
-// starts — the injector is read without synchronisation.
-func (f *Forwarder) SetFaults(inj *faults.Injector) { f.inj = inj }
 
 // AnnouncedOrigin returns the BGP origin AS for an address, mimicking a
 // longest-prefix lookup in the public table. ok is false for unannounced

@@ -40,9 +40,13 @@ type Path struct {
 	// owner), NoAS when unrouted.
 	DstAS  model.ASIndex
 	DstRTT float64
-	// Truncated marks a path cut short by an injected link flap (a
-	// transient condition worth retrying, unlike structurally dead space).
-	Truncated bool
+	// FlapLink is the interconnection link whose flap would cut the path,
+	// or NoLink when the path crosses none. A flapped link drops the probe
+	// at the cloud border: the path ends after its first FlapHops hops and
+	// the destination never answers. The forwarding plane is fault-free;
+	// the prober decides per send time whether the link is up.
+	FlapLink model.LinkID
+	FlapHops int
 }
 
 // VM identifies a probing VM: a cloud region.
@@ -51,8 +55,7 @@ type VM struct {
 	Region int
 }
 
-// Trace computes the path a probe from the VM to dst would take, with the
-// fault clock at zero (equivalent to TraceAt(vm, dst, 0)).
+// Trace computes the path a probe from the VM to dst would take.
 func (f *Forwarder) Trace(vm VM, dst netblock.IP) Path {
 	return f.TraceAt(vm, dst, 0)
 }
@@ -85,17 +88,15 @@ func (f *Forwarder) Dest(dst netblock.IP) Dest {
 	return d
 }
 
-// TraceAt computes the path of a probe sent at virtual time tSec. With a
-// fault injector installed (SetFaults), an interconnection link that is
-// flapped at tSec drops the probe at the cloud border: the path truncates
-// after the border hop and the destination never answers. Fault windows are
-// long relative to RTTs, so the whole path is evaluated at the send time.
+// TraceAt computes the path of a probe sent at virtual time tSec. Paths do
+// not depend on the send time: link flaps are applied by the prober, which
+// cuts the path at FlapHops when FlapLink is down at tSec.
 //
 // The returned path owns freshly allocated hops; hot loops resolve the
 // destination once and use TraceInto.
 func (f *Forwarder) TraceAt(vm VM, dst netblock.IP, tSec float64) Path {
 	p := Path{Hops: make([]HopTemplate, 0, typicalPathHops)}
-	f.TraceInto(&p, vm, f.Dest(dst), tSec)
+	f.TraceInto(&p, vm, f.Dest(dst))
 	return p
 }
 
@@ -108,14 +109,14 @@ const typicalPathHops = 16
 // a goroutine that keeps one Path as scratch computes paths without
 // allocating. The hops stay valid only until the next TraceInto on the same
 // Path.
-func (f *Forwarder) TraceInto(p *Path, vm VM, d Dest, tSec float64) {
+func (f *Forwarder) TraceInto(p *Path, vm VM, d Dest) {
 	t := f.t
 	c := &t.Clouds[vm.Cloud]
 	reg := &c.Regions[vm.Region]
 	srcMetro := reg.Metro
 	dst, dstIfc, dstOwner := d.IP, d.Iface, d.Owner
 
-	*p = Path{Hops: p.Hops[:0], DstIface: model.NoIface, DstAS: model.NoAS}
+	*p = Path{Hops: p.Hops[:0], DstIface: model.NoIface, DstAS: model.NoAS, FlapLink: model.NoLink}
 
 	// First hops: the in-region gateways (private addresses).
 	rtt := 0.0
@@ -143,7 +144,7 @@ func (f *Forwarder) TraceInto(p *Path, vm VM, d Dest, tSec float64) {
 	p.Hops = append(p.Hops, HopTemplate{Iface: f.coreIncoming[reg.Backbone], RTT: rtt})
 
 	if t.IsCloudAS(c, dstOwner) {
-		f.internalDelivery(p, rtt, c, srcMetro, dst, dstIfc, tSec)
+		f.internalDelivery(p, rtt, c, srcMetro, dst, dstIfc)
 		return
 	}
 
@@ -214,12 +215,9 @@ func (f *Forwarder) TraceInto(p *Path, vm VM, d Dest, tSec float64) {
 		p.Hops = append(p.Hops, HopTemplate{Iface: l.CloudIface, RTT: rtt})
 	}
 
-	// A flapped interconnection drops the probe at the cloud border: the
-	// path ends with the hops already collected.
-	if !f.inj.LinkUp(link, tSec) {
-		p.Truncated = true
-		return
-	}
+	// A flapped interconnection would drop the probe at the cloud border,
+	// ending the path with the hops already collected.
+	p.FlapLink, p.FlapHops = link, len(p.Hops)
 
 	// Cross the interconnection: the client border router replies with its
 	// side of the link subnet (the CBI).
@@ -270,7 +268,7 @@ func (f *Forwarder) pickLink(p *model.Peering, dst netblock.IP) model.LinkID {
 
 // internalDelivery handles targets inside the probing cloud itself. ifc is
 // the interface holding dst, or NoIface.
-func (f *Forwarder) internalDelivery(p *Path, rtt float64, c *model.Cloud, srcMetro geo.MetroID, dst netblock.IP, ifc model.IfaceID, tSec float64) {
+func (f *Forwarder) internalDelivery(p *Path, rtt float64, c *model.Cloud, srcMetro geo.MetroID, dst netblock.IP, ifc model.IfaceID) {
 	t := f.t
 	if ifc == model.NoIface {
 		// A host (or nothing) in the cloud's service space.
@@ -300,10 +298,7 @@ func (f *Forwarder) internalDelivery(p *Path, rtt float64, c *model.Cloud, srcMe
 	l := &t.Links[link]
 	abi := f.borderIncoming(l.CloudRouter, 0)
 	p.Hops = append(p.Hops, HopTemplate{Iface: abi, RTT: rtt})
-	if !f.inj.LinkUp(link, tSec) {
-		p.Truncated = true
-		return
-	}
+	p.FlapLink, p.FlapHops = link, len(p.Hops)
 	rtt += l.RTTms
 	p.DstIface = ifc
 	p.DstAS = router.AS

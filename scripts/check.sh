@@ -40,19 +40,22 @@ echo "==> chunk scheduler race leg (-race -count=10)"
 # order, error choice and cancellation are timing-dependent, so run them
 # repeatedly under the race detector. The campaign and egress-memo tests
 # also exercise the forwarder's lock-free egress table, the recycled
-# chunk trace batches and the remote chunk-executor seam. Each dispatch
+# chunk trace batches and the remote chunk-executor seam; the attempt
+# test holds every retry, which reuses its target's path and reply draws,
+# to a from-scratch traceroute at its send time. Each dispatch
 # campaign test probes a full round-1 campaign twice (~40 s a run under
 # -race on 2 vCPUs), so those two run three times rather than ten.
 go test -race -count=10 ./internal/ordered
-go test -race -count=10 -run 'TestCampaignRetryChunkErrorReturns|TestCampaignRetryWorkerInvariance|TestCampaignChunkExecutor' ./internal/probe
+go test -race -count=10 -run 'TestCampaignRetryChunkErrorReturns|TestCampaignRetryWorkerInvariance|TestCampaignChunkExecutor|TestRetryAttemptsMatchFreshTraces' ./internal/probe
 go test -race -count=10 -run 'TestEgressMemoFillOrder' ./internal/route
 go test -race -count=10 -run 'TestReplayParallelCancel' ./internal/tracefile
 go test -race -count=3 -run 'TestDistributedMatchesLocal|TestNoLiveAgentsFallsBackLocal' -timeout 20m ./internal/dispatch
 
-echo "==> bench smoke (border sink + binary decode, one iteration each)"
-# Keeps the replay hot-path benchmarks compiling and running; -benchtime 1x
-# makes it a smoke, not a measurement.
+echo "==> bench smoke (border sink + binary decode + faulted traceroute, one iteration each)"
+# Keeps the replay and probe hot-path benchmarks compiling and running;
+# -benchtime 1x makes it a smoke, not a measurement.
 go test -run '^$' -bench 'BenchmarkConsume|BenchmarkTracefileDecode/binary' -benchtime 1x ./internal/border ./internal/tracefile
+go test -run '^$' -bench 'BenchmarkTracerouteAt/faulted' -benchtime 1x ./internal/probe
 
 echo "==> chaos smoke (fault injection + same-seed replay)"
 go test -run 'TestChaos' -timeout 10m .
