@@ -15,9 +15,10 @@ check:
 
 # Chaos smoke: the fault-injection acceptance tests — pinning precision
 # holds under the moderate plan, manifests record the degradation, and a
-# same-seed+same-plan replay is byte-identical.
+# same-seed+same-plan replay is byte-identical, and the epoch-session tests:
+# an unchanged faulted world reproduces its report epoch after epoch.
 chaos:
-	$(GO) test -run 'TestChaos' -v -timeout 10m .
+	$(GO) test -run 'TestChaos|TestSession' -v -timeout 10m .
 
 # Hygiene smoke: the dataset-hygiene acceptance tests — clean runs
 # round-trip the datasets byte-identically, the moderate dirty plan

@@ -16,8 +16,8 @@
 // Each epoch the daemon derives the next world state from the churn plan
 // (re-homed prefixes, facility tenant moves, DNS renames — all
 // deterministic in seed and epoch number), then runs the pipeline
-// incrementally: stages whose input hashes are unchanged since their last
-// clean run are skipped, annotation-only changes replay the checkpointed
+// incrementally: stages whose input hashes are unchanged since the last
+// successful epoch are skipped, annotation-only changes replay the checkpointed
 // probing campaigns instead of re-probing, and only genuinely dependent
 // inference re-executes. The resulting map diffs against the previous
 // epoch and the deltas stream to watchers.

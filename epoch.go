@@ -28,7 +28,6 @@ import (
 	"cloudmap/internal/netblock"
 	"cloudmap/internal/obs"
 	"cloudmap/internal/pipeline"
-	"cloudmap/internal/probe"
 	"cloudmap/internal/registry"
 )
 
@@ -93,7 +92,7 @@ type Session struct {
 	sys   *System
 	st    *pipeState
 	reg   *metrics.Registry
-	prev  map[string]string // stage -> input hash of its last clean run
+	prev  []pipeline.StageResult // the last successful epoch's stages; nil after a failure
 	epoch uint64
 }
 
@@ -112,7 +111,7 @@ func NewSession(cfg Config, opts SessionOptions) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{cfg: cfg, opts: opts, sys: sys, st: st, reg: reg, prev: make(map[string]string)}, nil
+	return &Session{cfg: cfg, opts: opts, sys: sys, st: st, reg: reg}, nil
 }
 
 // Close releases session resources: the dispatch controller's heartbeat
@@ -145,34 +144,21 @@ func (s *Session) SetEpoch(n uint64) { s.epoch = n }
 func (s *Session) SetRegistry(reg *registry.Registry) { s.sys.Registry = reg }
 
 // RunEpoch executes one epoch: every stage whose input hash changed since
-// its last clean run re-runs; the rest hash-skip. The returned Result is
-// the live view after the epoch (shared with the session — callers must
-// extract what they keep). The report is returned even on failure.
+// the last successful epoch re-runs and rebuilds what it owns; the rest
+// hash-skip, keeping their outputs and their degradation. A failed epoch
+// may leave any stage half rebuilt, so the epoch after it runs every stage.
+// The returned Result is the live view after the epoch (shared with the
+// session — callers must extract what they keep). The report is returned
+// even on failure.
 func (s *Session) RunEpoch(ctx context.Context) (*Result, *EpochReport, error) {
 	s.epoch++
-	stages, err := newRunner(s.reg).Run(ctx, s.st, pipeline.Options{
-		Progress:   s.opts.Progress,
-		PrevHashes: s.prev,
-	})
+	stages, err := newRunner(s.reg).Run(ctx, s.st, pipeline.Options{Progress: s.opts.Progress, Prev: s.prev})
 	rep := &EpochReport{Epoch: s.epoch, Stages: stages, Summary: s.st.summary}
-	for _, sr := range stages {
-		clean := !sr.Degraded && sr.InputHash != ""
-		switch sr.Status {
-		case pipeline.StatusOK, pipeline.StatusResumed, pipeline.StatusSkippedUnchanged:
-			if clean {
-				s.prev[sr.Name] = sr.InputHash
-			} else {
-				// Degraded outputs are kept but never hash-skipped over:
-				// the stage re-runs next epoch and may recover.
-				delete(s.prev, sr.Name)
-			}
-		default:
-			delete(s.prev, sr.Name)
-		}
-	}
 	if err != nil {
+		s.prev = nil
 		return nil, rep, err
 	}
+	s.prev = stages
 	return s.st.res, rep, nil
 }
 
@@ -256,9 +242,21 @@ func (s *pipeState) datasetsInputHash() string {
 	return s.put("datasets", shortHash(parts...))
 }
 
+// round1Plan is round 1's probing plan: its targets derive from the
+// topology alone.
+func (s *pipeState) round1Plan() string {
+	return s.probePlanHash("round1", fmt.Sprint(s.cfg.IncludePrivateTargets))
+}
+
+// expansionPlan is round 2's probing plan. Its targets derive from the
+// candidate CBIs of round 1 (probe.ExpansionTargets), which therefore stand
+// in for them.
+func (s *pipeState) expansionPlan() string {
+	return s.probePlanHash("round2", hashIPs(s.inf.CandidateCBIs()))
+}
+
 func (s *pipeState) campaignHash() string {
-	s.probePlanNow["campaign"] = s.probePlanHash("round1", fmt.Sprint(s.cfg.IncludePrivateTargets))
-	return s.put("campaign", shortHash("campaign", s.probePlanNow["campaign"], s.annotationHash()))
+	return s.put("campaign", shortHash("campaign", s.round1Plan(), s.annotationHash()))
 }
 
 func (s *pipeState) borderHash() string {
@@ -266,11 +264,6 @@ func (s *pipeState) borderHash() string {
 }
 
 func (s *pipeState) expansionHash() string {
-	// The expansion target set derives from round-1 inference; its hash
-	// gates checkpoint replay separately from the stage hash (a changed
-	// candidate set must re-probe even though the fault plan is unchanged).
-	targets := probe.ExpansionTargets(s.inf.CandidateCBIs())
-	s.probePlanNow["expansion"] = s.probePlanHash("round2", hashIPs(targets))
 	return s.put("expansion", shortHash("expansion", s.stageHash["campaign"]))
 }
 

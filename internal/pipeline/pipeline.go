@@ -70,10 +70,10 @@ type Stage[S any] struct {
 	// folding in the upstream stages' input hashes — with deterministic
 	// stages, same inputs imply same outputs). It runs every epoch, before
 	// Run, in DAG order, so it may read state written by earlier stages
-	// this epoch. When Options.PrevHashes carries a matching hash for the
-	// stage, Run is skipped entirely (StatusSkippedUnchanged) and the
-	// shared state retains the outputs the stage wrote last epoch — the
-	// incremental-inference contract of the resident service.
+	// this epoch. When its Options.Prev result carries the same hash, Run
+	// is skipped (StatusSkippedUnchanged) and the shared state retains the
+	// stage's previous outputs; a stage that runs must rebuild every output
+	// it owns — the incremental-inference contract of the resident service.
 	InputHash func(s *S) string
 	// Run executes the stage.
 	Run func(ctx context.Context, s *S, sc *StageContext) error
@@ -143,8 +143,8 @@ const (
 	// this stage declared it cannot tolerate them.
 	StatusSkippedDegraded Status = "skipped-degraded"
 	// StatusSkippedUnchanged: the stage's input hash matched the previous
-	// epoch's, so its outputs (still held in the shared state) are already
-	// current — the incremental scheduler's hash-skip.
+	// run's, so its outputs (still held in the shared state) and its
+	// degradation are current — the incremental scheduler's hash-skip.
 	StatusSkippedUnchanged Status = "skipped-unchanged"
 	// StatusFailed: Run or Resume returned an error.
 	StatusFailed Status = "failed"
@@ -194,12 +194,13 @@ type Options struct {
 	Tracer *obs.Tracer
 	// Progress, when non-nil, is told which stage is running.
 	Progress *obs.Progress
-	// PrevHashes maps stage name to the input hash recorded the last time
-	// the stage ran to a clean completion. A stage whose InputHash matches
-	// its entry is hash-skipped (StatusSkippedUnchanged): the shared state
-	// still holds its outputs, so re-running would recompute identical
-	// results. Nil disables incremental scheduling (every stage runs).
-	PrevHashes map[string]string
+	// Prev holds the stage results of the previous run over the same state;
+	// that run must have returned no error. A stage whose InputHash equals
+	// its Prev result's non-empty hash is hash-skipped
+	// (StatusSkippedUnchanged): the state still holds its outputs, and the
+	// skipped result inherits Degraded and Notes, which gate later stages
+	// as if it had run. Nil disables incremental scheduling.
+	Prev []StageResult
 }
 
 // Runner owns an ordered set of stages and a metrics registry.
@@ -300,6 +301,10 @@ func (r *Runner[S]) Run(ctx context.Context, s *S, opts Options) ([]StageResult,
 		run.End(obs.Attrs{"status": "failed"})
 		return results, err
 	}
+	prev := make(map[string]*StageResult, len(opts.Prev))
+	for i := range opts.Prev {
+		prev[opts.Prev[i].Name] = &opts.Prev[i]
+	}
 	var degradedBy []string // "stage: reason" entries, in stage order
 	for oi, name := range order {
 		st := &r.stages[r.byName[name]]
@@ -328,13 +333,17 @@ func (r *Runner[S]) Run(ctx context.Context, s *S, opts Options) ([]StageResult,
 		start := time.Now()
 		// Incremental scheduling: fingerprint the stage's inputs (runs in
 		// DAG order, so upstream hashes from this epoch are visible) and
-		// hash-skip when nothing it reads has changed since its last clean
+		// hash-skip when nothing it reads has changed since the previous
 		// run. The shared state still holds the stage's previous outputs.
 		var inputHash string
 		if st.InputHash != nil {
 			inputHash = st.InputHash(s)
-			if prev, ok := opts.PrevHashes[name]; ok && prev == inputHash && prev != "" {
-				results = append(results, StageResult{Name: name, Status: StatusSkippedUnchanged, InputHash: inputHash})
+			if p := prev[name]; p != nil && p.InputHash == inputHash && inputHash != "" {
+				results = append(results, StageResult{Name: name, Status: StatusSkippedUnchanged, InputHash: inputHash,
+					Degraded: p.Degraded, Notes: p.Notes})
+				for _, n := range p.Notes {
+					degradedBy = append(degradedBy, name+": "+n)
+				}
 				run.Event("stage", name, uint64(oi), obs.Attrs{"status": string(StatusSkippedUnchanged), "input_hash": inputHash})
 				continue
 			}

@@ -250,7 +250,7 @@ func TestLargeDiamondOrder(t *testing.T) {
 
 func TestInputHashSkip(t *testing.T) {
 	// A two-stage chain where each stage declares an input hash drawn from
-	// the state: matching PrevHashes entries hash-skip, changed ones run.
+	// the state: matching Prev results hash-skip, changed ones run.
 	hashes := map[string]string{"a": "h1", "b": "h2"}
 	r := New[state](nil)
 	for _, name := range []string{"a", "b"} {
@@ -270,7 +270,7 @@ func TestInputHashSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := map[string]string{}
+	prev := results
 	for _, sr := range results {
 		if sr.Status != StatusOK {
 			t.Fatalf("%s status = %s", sr.Name, sr.Status)
@@ -278,13 +278,12 @@ func TestInputHashSkip(t *testing.T) {
 		if sr.InputHash == "" {
 			t.Fatalf("%s missing input hash", sr.Name)
 		}
-		prev[sr.Name] = sr.InputHash
 	}
 
 	// Second run with unchanged hashes: both stages hash-skip and Run
 	// hooks never fire.
 	s = state{}
-	results, err = r.Run(context.Background(), &s, Options{PrevHashes: prev})
+	results, err = r.Run(context.Background(), &s, Options{Prev: prev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +299,7 @@ func TestInputHashSkip(t *testing.T) {
 	// Third run with only b's hash changed: a skips, b runs.
 	hashes["b"] = "h2-changed"
 	s = state{}
-	results, err = r.Run(context.Background(), &s, Options{PrevHashes: prev})
+	results, err = r.Run(context.Background(), &s, Options{Prev: prev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,5 +308,51 @@ func TestInputHashSkip(t *testing.T) {
 	}
 	if strings.Join(s.log, ",") != "b" {
 		t.Fatalf("executed = %v, want just b", s.log)
+	}
+
+	// A degraded stage that hash-skips keeps its degradation, so a stage
+	// that cannot tolerate partial inputs stays skipped-degraded; a stage
+	// whose previous result has no input hash never hash-skips.
+	d := New[state](nil)
+	d.Add(Stage[state]{
+		Name:            "probe",
+		ToleratePartial: true,
+		InputHash:       func(*state) string { return "hp" },
+		Run: func(_ context.Context, s *state, sc *StageContext) error {
+			s.log = append(s.log, "probe")
+			sc.Degrade("lost 10% of probes")
+			return nil
+		},
+	})
+	strict := appendStage("strict", "probe")
+	strict.InputHash = func(*state) string { return "hs" }
+	d.Add(strict)
+	unhashed := appendStage("unhashed", "probe")
+	unhashed.ToleratePartial = true
+	unhashed.InputHash = func(*state) string { return "" }
+	d.Add(unhashed)
+	s = state{}
+	first, err := d.Run(context.Background(), &s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = state{}
+	second, err := d.Run(context.Background(), &s, Options{Prev: first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(s.log, ",") != "unhashed" {
+		t.Fatalf("executed = %v, want just unhashed", s.log)
+	}
+	for i, want := range []Status{StatusSkippedUnchanged, StatusSkippedDegraded, StatusOK} {
+		if second[i].Status != want {
+			t.Fatalf("%s status = %s, want %s", second[i].Name, second[i].Status, want)
+		}
+	}
+	if p := second[0]; !p.Degraded || strings.Join(p.Notes, ",") != "lost 10% of probes" {
+		t.Fatalf("hash-skipped probe = %+v, want epoch 1's degradation", p)
+	}
+	if n := second[1].Notes; len(n) != 1 || n[0] != "probe: lost 10% of probes" {
+		t.Fatalf("strict notes = %v (must name the degrading stage)", n)
 	}
 }

@@ -341,8 +341,8 @@ func (d *Daemon) Run(ctx context.Context) (err error) {
 			// Retries exhausted: republish the previous map under the new
 			// epoch number (empty delta set) rather than dying or going
 			// dark. The journal records the epoch as failed; the next epoch
-			// re-runs every stage (RunEpoch dropped their hashes) and may
-			// recover.
+			// re-runs every stage (a failed RunEpoch leaves no hash-skips)
+			// and may recover.
 			snap = &Snapshot{Epoch: epoch}
 			if prev := d.store.Current(); prev != nil {
 				// Copy: Diff mutates next's rows in place, and the previous

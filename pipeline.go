@@ -308,16 +308,6 @@ type pipeState struct {
 	// corpus is the serialization datasetsInputHash produced, handed to the
 	// datasets stage so the registry is serialized once per run.
 	corpus *datasets.Corpus
-	// lastAnnHash is the annotation-relevant dataset hash behind the
-	// current s.inf; the datasets stage only rebuilds the inference sink
-	// (forcing the campaign to re-run over the stored traces) when it
-	// changes.
-	lastAnnHash string
-	// probePlanNow is this run's probing-plan hash per round (topology,
-	// fault and retry schedule, target set). It gates checkpoint replay: a
-	// checkpoint whose <round>.traces.bin.plan file names another plan is
-	// re-probed live instead of replayed.
-	probePlanNow map[string]string
 }
 
 // newPipeState builds the stage state shared by RunPipeline (one run) and
@@ -330,12 +320,11 @@ func newPipeState(cfg Config, opts RunOptions, sys *System) (*pipeState, error) 
 		}
 	}
 	st := &pipeState{
-		cfg:          cfg,
-		opts:         opts,
-		sys:          sys,
-		prog:         opts.Progress,
-		stageHash:    make(map[string]string),
-		probePlanNow: make(map[string]string),
+		cfg:       cfg,
+		opts:      opts,
+		sys:       sys,
+		prog:      opts.Progress,
+		stageHash: make(map[string]string),
 	}
 	if opts.Dispatch != nil {
 		st.disp = dispatch.NewController(*opts.Dispatch, dispatch.Fingerprint(cfg.Topology, cfg.Faults))
@@ -580,17 +569,6 @@ func (s *pipeState) datasets(_ context.Context, sc *pipeline.StageContext) error
 	view := datasets.Load(corpus, s.sys.Registry.World)
 	s.hyg = view
 	s.res.Hygiene = view
-	// The border-inference sink is rebuilt only when the datasets that
-	// annotate hops (RIB, WHOIS, IXPs, as2org, clouds) changed since the
-	// last build — always on a run's first pass: a rebuild invalidates the
-	// accumulated inference and forces the campaign stage to re-run
-	// (replaying its checkpointed traces). Between epochs, dataset churn
-	// elsewhere — facilities, relationships, cones, rDNS — leaves the
-	// inference intact so probing-derived stages hash-skip.
-	if ann := s.annotationHash(); s.inf == nil || s.lastAnnHash != ann {
-		s.inf = border.New(view.Registry, "amazon")
-		s.lastAnnHash = ann
-	}
 
 	rep := view.Report
 	sc.Counter("records-kept").Add(rep.TotalKept)
@@ -701,13 +679,13 @@ type roundGate struct {
 }
 
 // probeRound runs one probing round under the retry policy, teeing traces
-// into the stage's checkpoint when enabled. epoch separates the virtual
-// fault-time schedules of the two rounds. On error (including cancellation)
-// the partially written checkpoint is flushed without its completeness
-// trailer: loadable, but marked interrupted so a later run re-probes instead
-// of trusting it. Fault/retry telemetry lands in the stage's instruments,
+// into the stage's checkpoint, gated by plan, when enabled. epoch separates
+// the virtual fault-time schedules of the two rounds. On error (including
+// cancellation) the partially written checkpoint is flushed without its
+// completeness trailer: loadable, but marked interrupted so a later run
+// re-probes instead of trusting it. Fault/retry telemetry lands in the stage's instruments,
 // s.roundStats, and — when the round was degraded — a sc.Degrade note.
-func (s *pipeState) probeRound(ctx context.Context, sc *pipeline.StageContext, stage string, epoch uint64, targets []netblock.IP) error {
+func (s *pipeState) probeRound(ctx context.Context, sc *pipeline.StageContext, stage string, epoch uint64, targets []netblock.IP, plan string) error {
 	sink, flushSink := s.roundSink(sc)
 	var fw *tracefile.FileWriter
 	path := s.checkpointPath(stage)
@@ -743,7 +721,7 @@ func (s *pipeState) probeRound(ctx context.Context, sc *pipeline.StageContext, s
 			fw.Close()
 		} else if cerr := fw.Finish(); cerr != nil {
 			err = fmt.Errorf("checkpoint %s: %w", path, cerr)
-		} else if werr := writeGate(path+".plan", roundGate{Plan: s.probePlanNow[stage], Stats: &stats}); werr != nil {
+		} else if werr := writeGate(path+".plan", roundGate{Plan: plan, Stats: &stats}); werr != nil {
 			err = fmt.Errorf("checkpoint gate %s.plan: %w", path, werr)
 		}
 	}
@@ -803,8 +781,8 @@ func (s *pipeState) noteRound(sc *pipeline.StageContext, stage string, stats pro
 // runs only once the checkpoint is known to be usable (e.g. BeginRound2).
 // A missing, torn or partial checkpoint falls through to live probing, as
 // does a complete one whose gate is unreadable, lacks a field, or names a
-// different probing plan.
-func (s *pipeState) resumeRound(ctx context.Context, stage string, sc *pipeline.StageContext, prepare func()) (bool, error) {
+// probing plan other than plan.
+func (s *pipeState) resumeRound(ctx context.Context, sc *pipeline.StageContext, stage, plan string, prepare func()) (bool, error) {
 	path := s.checkpointPath(stage)
 	if path == "" {
 		return false, nil
@@ -834,7 +812,7 @@ func (s *pipeState) resumeRound(ctx context.Context, stage string, sc *pipeline.
 	// stats that say how degraded its traces are.
 	var gate roundGate
 	data, err := os.ReadFile(path + ".plan")
-	if err != nil || json.Unmarshal(data, &gate) != nil || gate.Stats == nil || gate.Plan != s.probePlanNow[stage] {
+	if err != nil || json.Unmarshal(data, &gate) != nil || gate.Stats == nil || gate.Plan != plan {
 		sc.Counter("checkpoint-stale").Inc()
 		return false, nil
 	}
@@ -855,19 +833,23 @@ func (s *pipeState) resumeRound(ctx context.Context, stage string, sc *pipeline.
 	return true, nil
 }
 
-// campaign is the §3 round-1 probing sweep from every Amazon region.
+// campaign is the §3 round-1 probing sweep from every Amazon region. The
+// stage owns the border inference: live or replayed, it starts afresh.
 func (s *pipeState) campaign(ctx context.Context, sc *pipeline.StageContext) error {
+	s.newInference()
 	targets := probe.Round1Targets(s.sys.Topology, probe.Round1Options{IncludePrivate: s.cfg.IncludePrivateTargets})
 	sc.Counter("targets").Add(int64(len(targets)))
-	if err := s.probeRound(ctx, sc, "campaign", 1, targets); err != nil {
+	if err := s.probeRound(ctx, sc, "campaign", 1, targets, s.round1Plan()); err != nil {
 		return fmt.Errorf("round 1: %w", err)
 	}
 	return nil
 }
 
 func (s *pipeState) resumeCampaign(ctx context.Context, sc *pipeline.StageContext) (bool, error) {
-	return s.resumeRound(ctx, "campaign", sc, nil)
+	return s.resumeRound(ctx, sc, "campaign", s.round1Plan(), s.newInference)
 }
+
+func (s *pipeState) newInference() { s.inf = border.New(s.reg(), "amazon") }
 
 // borderSnapshot records the §4.1 round-1 view (Table 1's pre-expansion
 // rows) before expansion mutates the inference.
@@ -883,12 +865,14 @@ func (s *pipeState) borderSnapshot(_ context.Context, sc *pipeline.StageContext)
 }
 
 // expansion is the §4.2 round-2 sweep over every other address in each
-// candidate CBI's /24.
+// candidate CBI's /24. It runs only in an epoch in which campaign ran too:
+// its input hash is campaign's, and a failed epoch leaves no hash-skips. So
+// round 2 always continues an inference that holds this epoch's round 1.
 func (s *pipeState) expansion(ctx context.Context, sc *pipeline.StageContext) error {
 	s.inf.BeginRound2()
 	exp := probe.ExpansionTargets(s.inf.CandidateCBIs())
 	sc.Counter("targets").Add(int64(len(exp)))
-	if err := s.probeRound(ctx, sc, "expansion", 2, exp); err != nil {
+	if err := s.probeRound(ctx, sc, "expansion", 2, exp, s.expansionPlan()); err != nil {
 		return fmt.Errorf("round 2: %w", err)
 	}
 	sc.Counter("new-cbis").Add(int64(s.inf.BreakdownCBIs().Total - s.res.Round1CBIs.Total))
@@ -896,7 +880,7 @@ func (s *pipeState) expansion(ctx context.Context, sc *pipeline.StageContext) er
 }
 
 func (s *pipeState) resumeExpansion(ctx context.Context, sc *pipeline.StageContext) (bool, error) {
-	return s.resumeRound(ctx, "expansion", sc, s.inf.BeginRound2)
+	return s.resumeRound(ctx, sc, "expansion", s.expansionPlan(), s.inf.BeginRound2)
 }
 
 // alias is the §5.2 prerequisite: MIDAR-style alias resolution over all

@@ -57,8 +57,8 @@ echo "==> bench smoke (border sink + binary decode + faulted traceroute, one ite
 go test -run '^$' -bench 'BenchmarkConsume|BenchmarkTracefileDecode/binary' -benchtime 1x ./internal/border ./internal/tracefile
 go test -run '^$' -bench 'BenchmarkTracerouteAt/faulted' -benchtime 1x ./internal/probe
 
-echo "==> chaos smoke (fault injection + same-seed replay)"
-go test -run 'TestChaos' -timeout 10m .
+echo "==> chaos smoke (fault injection + same-seed replay + epoch sessions)"
+go test -run 'TestChaos|TestSession' -timeout 10m .
 
 echo "==> hygiene smoke (dirty datasets + quarantine accounting)"
 go test -run 'TestHygiene|TestDegradationReportDatasetOnly|TestConfigHashDirtyPlan' -timeout 10m .
